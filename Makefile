@@ -1,11 +1,12 @@
 # CI entry points for the strippack reproduction. `make ci` is what a
 # pipeline should run; the individual targets mirror the tier-1 check
 # (`go build ./... && go test ./...`) plus vet, a race pass over the
-# concurrent packages and a benchmark smoke pass.
+# concurrent packages, the repository benchmark's own tests and the
+# determinism gate.
 
 GO ?= go
 
-.PHONY: all build test vet race ci bench-smoke bench-record fuzz determinism
+.PHONY: all build test vet race ci bench-check bench-smoke bench-record fuzz determinism
 
 all: ci
 
@@ -32,7 +33,15 @@ vet:
 race:
 	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./cmd/placementd
 
-ci: build vet test race determinism
+ci: build vet test race bench-check determinism
+
+# The repository benchmark (perfbench/, a module of its own) is outside
+# `go test ./...`. Its tests run tiny seeded workloads through the service
+# path and compare them against reference hashes, so they re-check the
+# engine end to end.
+bench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # One iteration of every benchmark: catches bit-rot in the bench harness
 # without the cost of a full measurement run.

@@ -745,7 +745,7 @@ func (f *Fleet) SubmitBatchTenant(ti int, specs []fpga.TaskSpec) ([]Placement, e
 	for j := range t.placedBy {
 		t.placedBy[j] = nil
 	}
-	err := f.runLane(t, func(j int) error {
+	err := f.fanOut(t.count, func(j int) error {
 		if len(t.subs[j]) == 0 {
 			return nil
 		}
@@ -785,7 +785,7 @@ func (f *Fleet) DrainTenant(ti int) error {
 		return fmt.Errorf("fleet: tenant %d out of range [0, %d)", ti, len(f.lanes))
 	}
 	t := &f.lanes[ti]
-	return f.runLane(t, func(j int) error {
+	return f.fanOut(t.count, func(j int) error {
 		if err := f.shards[t.first+j].Drain(); err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", t.first+j, err)
 		}
@@ -809,17 +809,13 @@ func (f *Fleet) TenantLoads(ti int) ([]fpga.LoadStats, error) {
 	return out, nil
 }
 
-// runLane runs fn(j) for each of lane t's shards (j is lane-local, shard
-// t.first+j) on up to cfg.Workers goroutines and returns the error of
-// the lowest-index failing shard — the same min-index rule the
-// experiment runner uses, so the surfaced error never depends on
-// goroutine interleaving.
-func (f *Fleet) runLane(t *lane, fn func(j int) error) error {
-	n := t.count
-	workers := f.cfg.Workers
-	if workers > n {
-		workers = n
-	}
+// fanOut runs fn(j) for j in [0, n) — a lane's shards (shard t.first+j)
+// or the whole fleet — on up to cfg.Workers goroutines and returns the
+// error of the lowest-index failing call: the same min-index rule the
+// experiment runner uses, so the surfaced error never depends on goroutine
+// interleaving.
+func (f *Fleet) fanOut(n int, fn func(j int) error) error {
+	workers := min(f.cfg.Workers, n)
 	errs := make([]error, n)
 	if workers <= 1 {
 		for j := 0; j < n; j++ {
@@ -839,46 +835,6 @@ func (f *Fleet) runLane(t *lane, fn func(j int) error) error {
 		}
 		for j := 0; j < n; j++ {
 			next <- j
-		}
-		close(next)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runShards runs fn(i) for every shard on up to cfg.Workers goroutines
-// with the same min-index error rule as runLane. Fleet-wide: requires
-// exclusive access.
-func (f *Fleet) runShards(fn func(i int) error) error {
-	n := len(f.shards)
-	workers := f.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			next <- i
 		}
 		close(next)
 		wg.Wait()
@@ -919,7 +875,7 @@ func (f *Fleet) Finish() (*Stats, error) {
 		return nil, err
 	}
 	per := make([]fpga.ChurnStats, len(f.shards))
-	err := f.runShards(func(i int) error {
+	err := f.fanOut(len(f.shards), func(i int) error {
 		o := f.shards[i]
 		sched := o.Schedule()
 		sim, simErr := sched.Simulate()

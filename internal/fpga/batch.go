@@ -17,7 +17,7 @@ import (
 //   - The batch is sorted into (release, index) order once, so the event
 //     queue advances once per distinct release instead of once per task.
 //     Skipping the repeat advance is exact, not approximate: every compQ
-//     key pushed after an advance exceeds the clock (Start >= floor and
+//     key set after an advance exceeds the clock (Start >= floor and
 //     actual > 0), so no completion can become due until the floor moves,
 //     and the one observable thing a same-floor AdvanceTo could still do —
 //     promote a task that a compaction slide parked exactly at the clock —
@@ -128,7 +128,6 @@ func (o *OnlineScheduler) grow(n int) {
 	o.started = slices.Grow(o.started, n)
 	o.actual = slices.Grow(o.actual, n)
 	if o.policy == ReclaimCompact {
-		o.taskNodes = slices.Grow(o.taskNodes, n)
-		o.inCand = slices.Grow(o.inCand, n)
+		o.firstNode = slices.Grow(o.firstNode, n)
 	}
 }

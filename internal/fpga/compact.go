@@ -44,11 +44,16 @@ import "strippack/internal/geom"
 
 // colIndex is an arena of intrusive doubly-linked list nodes, one list per
 // device column, holding the waiting tasks that occupy the column in
-// increasing start order. Node ids are recycled through a free list, so a
-// long churn run allocates O(max backlog x cols) nodes total.
+// increasing start order. A waiting task owns one node per column it
+// occupies; the scheduler keeps the task's first node (firstNode) and sib
+// chains the rest in column order, so the task's columns are walked
+// without a per-task slice. Node ids (with their sib link) are recycled
+// through a free list, so a long churn run allocates O(max backlog x cols)
+// nodes total.
 type colIndex struct {
 	head, tail []int32 // per column, -1 = empty
 	next, prev []int32 // per node, -1 = none
+	sib        []int32 // per node: the same task's node on the next column, -1 = last
 	task       []int32 // per node: task index
 	free       []int32 // recycled node ids
 }
@@ -66,11 +71,13 @@ func (x *colIndex) alloc(taskIdx int) int32 {
 		id := x.free[n-1]
 		x.free = x.free[:n-1]
 		x.task[id] = int32(taskIdx)
+		x.sib[id] = -1
 		return id
 	}
 	x.task = append(x.task, int32(taskIdx))
 	x.next = append(x.next, -1)
 	x.prev = append(x.prev, -1)
+	x.sib = append(x.sib, -1)
 	return int32(len(x.task) - 1)
 }
 
@@ -86,6 +93,28 @@ func (x *colIndex) pushTail(c int, taskIdx int) int32 {
 	}
 	x.tail[c] = id
 	return id
+}
+
+// link appends task taskIdx to the tails of columns [first, first+cols),
+// chaining its nodes through sib, and returns its first node.
+func (x *colIndex) link(first, cols, taskIdx int) int32 {
+	head := x.pushTail(first, taskIdx)
+	for c, prev := first+1, head; c < first+cols; c++ {
+		n := x.pushTail(c, taskIdx)
+		x.sib[prev] = n
+		prev = n
+	}
+	return head
+}
+
+// unlink removes the node chain starting at n, which sits on columns
+// first, first+1, ... in sib order.
+func (x *colIndex) unlink(first int, n int32) {
+	for c := first; n >= 0; c++ {
+		nx := x.sib[n]
+		x.remove(c, n)
+		n = nx
+	}
 }
 
 // remove unlinks node id from column c's list and recycles it.
@@ -127,36 +156,24 @@ func (o *OnlineScheduler) linkWaiting(idx int) {
 	if floor+o.device.ReconfigDelay < t.Start-geom.Eps {
 		o.slackQ = append(o.slackQ, idx)
 	}
-	nodes := make([]int32, t.Cols)
-	for j := range nodes {
-		nodes[j] = o.cidx.pushTail(t.FirstCol+j, idx)
-	}
-	o.taskNodes[idx] = nodes
+	o.firstNode[idx] = o.cidx.link(t.FirstCol, t.Cols, idx)
 }
 
 // unlinkWaiting removes a task (promoted to started, or shed) from the
 // per-column lists.
 func (o *OnlineScheduler) unlinkWaiting(idx int) {
-	nodes := o.taskNodes[idx]
-	if nodes == nil {
-		return
-	}
-	t := o.tasks[idx]
-	for j, n := range nodes {
-		o.cidx.remove(t.FirstCol+j, n)
-	}
-	o.taskNodes[idx] = nil
+	o.cidx.unlink(o.tasks[idx].FirstCol, o.firstNode[idx])
+	o.firstNode[idx] = -1
 }
 
 // pushCand queues a waiting task for re-evaluation by the running
 // compaction pass, keyed by its current start (ties by submission index —
-// the sweep's sort order).
+// the sweep's sort order). A task already queued keeps its entry.
 func (o *OnlineScheduler) pushCand(idx int) {
-	if o.inCand[idx] || o.started[idx] || o.done[idx] || o.shed[idx] {
+	if o.started[idx] || o.shed[idx] || o.candQ.has(idx) {
 		return
 	}
-	o.inCand[idx] = true
-	o.candQ.push(o.tasks[idx].Start, idx)
+	o.candQ.set(o.tasks[idx].Start, idx)
 }
 
 // seedSlack drains the submission-time slack queue into the candidate
@@ -188,30 +205,25 @@ func (o *OnlineScheduler) compactRange(l, r int) {
 
 // runCompact drains the candidate heap, sliding each task down onto
 // max(release, now, per-column predecessor end) + delay when that beats
-// its current start by more than Eps. A slide pushes fresh heap entries
-// for the task's start/completion events (the stale entries are skipped on
-// pop: the fresh key is strictly smaller, so the live entry always pops
-// first) and queues the task's list successors, whose floor just dropped.
-// The placement tree is NOT updated: submissions keep seeing the
-// pessimistic declared horizon, which is exactly what makes the mode
-// anomaly-free.
+// its current start by more than Eps. A slide moves the task's start and
+// completion entries to their new keys in place and queues the task's list
+// successors, whose floor just dropped. Every popped candidate is waiting:
+// pushCand admits only waiting tasks, and nothing starts, completes or is
+// shed during a pass. The placement tree is NOT updated: submissions keep
+// seeing the pessimistic declared horizon, which is exactly what makes the
+// mode anomaly-free.
 func (o *OnlineScheduler) runCompact() {
 	delay := o.device.ReconfigDelay
 	moved := false
-	for len(o.candQ) > 0 {
+	for o.candQ.len() > 0 {
 		_, idx := o.candQ.pop()
-		o.inCand[idx] = false
-		if o.started[idx] || o.done[idx] || o.shed[idx] {
-			continue
-		}
 		t := &o.tasks[idx]
 		floor := t.Release
 		if floor < o.now {
 			floor = o.now
 		}
-		nodes := o.taskNodes[idx]
-		for j, n := range nodes {
-			p := o.fixedEnd[t.FirstCol+j]
+		for c, n := t.FirstCol, o.firstNode[idx]; n >= 0; c, n = c+1, o.cidx.sib[n] {
+			p := o.fixedEnd[c]
 			if pv := o.cidx.prev[n]; pv >= 0 {
 				p = o.tasks[o.cidx.task[pv]].End()
 			}
@@ -226,11 +238,11 @@ func (o *OnlineScheduler) runCompact() {
 		t.Start = s
 		moved = true
 		o.tasksMoved++
-		o.startQ.push(s-delay, idx)
+		o.startQ.set(s-delay, idx)
 		if a := o.actual[idx]; a == a { // registered lifetime (not NaN)
-			o.compQ.push(s+a, idx)
+			o.compQ.set(s+a, idx)
 		}
-		for _, n := range nodes {
+		for n := o.firstNode[idx]; n >= 0; n = o.cidx.sib[n] {
 			if nx := o.cidx.next[n]; nx >= 0 {
 				o.pushCand(int(o.cidx.task[nx]))
 			}

@@ -110,8 +110,8 @@ type OnlineScheduler struct {
 	shed    []bool      // per task index: evicted by admission control
 	started []bool      // per task index: occupancy begun (irrevocable)
 	actual  []float64   // registered lifetime (NaN = none)
-	compQ   taskHeap    // registered completions, keyed by Start+actual
-	startQ  taskHeap    // placed, occupancy not begun, keyed by Start-delay
+	compQ   indexedHeap // live registered completions, keyed by Start+actual
+	startQ  indexedHeap // waiting tasks, keyed by Start-delay
 
 	// Backlog accounting (all policies).
 	waiting    int   // placed tasks whose occupancy has not begun
@@ -121,15 +121,14 @@ type OnlineScheduler struct {
 	sheds      int   // cumulative admission evictions
 	rejected   int   // cumulative ErrBacklogFull refusals
 	shedIDs    []int // IDs evicted, in eviction order
-	waitFIFO   []int // submission-ordered waiting tasks (AdmitShed only)
+	waitFIFO   []int // submission-ordered waiting tasks, head live (AdmitShed only)
 
 	// Compaction state, maintained only when policy == ReclaimCompact.
-	fixedEnd  []float64 // per column: latest end among started/completed tasks
-	cidx      *colIndex // per-column waiting lists in start order
-	taskNodes [][]int32 // per waiting task: its colIndex nodes (nil otherwise)
-	candQ     taskHeap  // compaction worklist, keyed by Start
-	inCand    []bool    // per task: queued in candQ
-	slackQ    []int     // waiting tasks placed above the compacted profile
+	fixedEnd  []float64   // per column: latest end among started/completed tasks
+	cidx      *colIndex   // per-column waiting lists in start order
+	firstNode []int32     // per task: its first colIndex node (-1 unless waiting)
+	candQ     indexedHeap // compaction worklist, keyed by Start; empty between passes
+	slackQ    []int       // waiting tasks placed above the compacted profile
 
 	// Counters surfaced in ChurnStats.
 	reclaimedColTime float64
@@ -248,9 +247,9 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		if bs != nil {
 			bs.floor, bs.advanced = floor, true
 		}
-	} else if len(o.startQ) > 0 && o.startQ[0].key <= o.now+geom.Eps {
+	} else if o.startQ.due(o.now + geom.Eps) {
 		// Same floor as the previous batch submission: no completion can be
-		// due (every compQ key pushed since the last advance exceeds the
+		// due (every compQ key set since the last advance exceeds the
 		// clock), so AdvanceTo would only promote — and only a compaction
 		// slide landing exactly at the clock can have queued one. Running
 		// just that promotion keeps the waiting count (and therefore every
@@ -290,8 +289,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 	o.started = append(o.started, false)
 	o.actual = append(o.actual, actual)
 	if o.policy == ReclaimCompact {
-		o.taskNodes = append(o.taskNodes, nil)
-		o.inCand = append(o.inCand, false)
+		o.firstNode = append(o.firstNode, -1)
 	}
 	if occupancy <= o.now+geom.Eps {
 		o.markStarted(idx) // occupancy begins immediately: irrevocable
@@ -300,7 +298,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		if o.waiting > o.maxWaiting {
 			o.maxWaiting = o.waiting
 		}
-		o.startQ.push(occupancy, idx)
+		o.startQ.set(occupancy, idx)
 		if o.admission.Policy == AdmitShed {
 			o.waitFIFO = append(o.waitFIFO, idx)
 		}
@@ -309,7 +307,7 @@ func (o *OnlineScheduler) submit(id int, name string, cols int, duration, actual
 		}
 	}
 	if !math.IsNaN(actual) {
-		o.compQ.push(t.Start+actual, idx)
+		o.compQ.set(t.Start+actual, idx)
 	}
 	return t, nil
 }
@@ -347,37 +345,38 @@ func (o *OnlineScheduler) fix(idx int) {
 }
 
 // promote moves every queued task whose occupancy begins at or before t
-// into the started (irrevocable) state. Entries whose task already started
-// are stale duplicates left behind by a compaction slide (the slide pushed
-// a fresh entry at the lower key, which always pops first) and are
-// skipped, as are shed tasks.
+// into the started (irrevocable) state.
 func (o *OnlineScheduler) promote(t float64) {
-	for len(o.startQ) > 0 && o.startQ[0].key <= t+geom.Eps {
+	for o.startQ.due(t + geom.Eps) {
 		_, idx := o.startQ.pop()
-		if o.started[idx] || o.shed[idx] {
-			continue
-		}
 		o.waiting--
 		if o.policy == ReclaimCompact {
 			o.unlinkWaiting(idx)
 		}
 		o.markStarted(idx)
 	}
+	o.trimWaitFIFO()
 }
 
 // shedOldest evicts the oldest waiting task (lowest submission index) and
 // reports whether one was found. Only called under AdmitShed.
 func (o *OnlineScheduler) shedOldest() bool {
-	for len(o.waitFIFO) > 0 {
-		idx := o.waitFIFO[0]
-		o.waitFIFO = o.waitFIFO[1:]
-		if o.started[idx] || o.done[idx] || o.shed[idx] {
-			continue // already promoted or evicted; lazily dropped here
-		}
-		o.shedTask(idx)
-		return true
+	if len(o.waitFIFO) == 0 {
+		return false
 	}
-	return false
+	o.shedTask(o.waitFIFO[0])
+	o.trimWaitFIFO()
+	return true
+}
+
+// trimWaitFIFO drops the promoted or shed tasks at the head of waitFIFO, so
+// its head is always the oldest waiting task and the FIFO is empty
+// whenever no task waits. A task leaves the backlog only through promote
+// or shedOldest, and both trim.
+func (o *OnlineScheduler) trimWaitFIFO() {
+	for len(o.waitFIFO) > 0 && (o.started[o.waitFIFO[0]] || o.shed[o.waitFIFO[0]]) {
+		o.waitFIFO = o.waitFIFO[1:]
+	}
 }
 
 // shedTask cancels a waiting task's reservation. Under NoReclaim/Reclaim
@@ -394,11 +393,13 @@ func (o *OnlineScheduler) shedTask(idx int) {
 	o.waiting--
 	o.sheds++
 	o.shedIDs = append(o.shedIDs, t.ID)
+	o.startQ.remove(idx)
+	o.compQ.remove(idx)
 	switch o.policy {
 	case NoReclaim, Reclaim:
 		o.horizon.free(t.FirstCol, t.FirstCol+t.Cols, t.End(), t.Start-o.device.ReconfigDelay)
 	case ReclaimCompact:
-		for _, n := range o.taskNodes[idx] {
+		for n := o.firstNode[idx]; n >= 0; n = o.cidx.sib[n] {
 			if nx := o.cidx.next[n]; nx >= 0 {
 				o.pushCand(int(o.cidx.task[nx]))
 			}
@@ -468,6 +469,7 @@ func (o *OnlineScheduler) completeAt(idx int, at float64) error {
 	}
 	o.done[idx] = true
 	o.completed++
+	o.compQ.remove(idx) // a manual completion ahead of its registered event
 	// Fix stragglers with their declared ends before truncating this
 	// task, so the reclaim accounting below sees the declared value (and
 	// the waiting/started accounting stays exact under every policy).
@@ -506,15 +508,8 @@ func (o *OnlineScheduler) completeAt(idx int, at float64) error {
 // leaves the clock at the last event processed — the clock itself must
 // stay finite or every later submission would be pushed to infinity.
 func (o *OnlineScheduler) AdvanceTo(t float64) error {
-	for len(o.compQ) > 0 && o.compQ[0].key <= t {
+	for o.compQ.due(t) {
 		key, idx := o.compQ.pop()
-		if o.done[idx] || o.shed[idx] {
-			// Completed manually ahead of its registered event, evicted
-			// by admission control, or a stale duplicate left by a
-			// compaction slide (the slide pushed a fresh entry at the
-			// lower key, which popped — and completed the task — first).
-			continue
-		}
 		if err := o.completeAt(idx, key); err != nil {
 			return err
 		}
@@ -564,57 +559,114 @@ func (o *OnlineScheduler) ReclaimStats() (reclaimedColTime float64, compactPasse
 	return o.reclaimedColTime, o.compactPasses, o.tasksMoved
 }
 
-// taskHeap is a binary min-heap of (key, task index) pairs ordered by key,
-// ties by submission index — the deterministic event order of the
-// scheduler.
-type taskHeap []taskEvent
+// indexedHeap is a binary min-heap of (key, task index) entries ordered
+// by key, ties by task index — the deterministic event order of the
+// scheduler. It holds at most one entry per task, and pos maps a task
+// index to its entry's slot, so an entry is moved to a new key or removed
+// in place: the heap only ever holds live entries, and its pop sequence is
+// a pure function of the live (key, index) set.
+type indexedHeap struct {
+	ents []taskEvent
+	pos  []int32 // per task index: slot in ents, -1 = absent
+}
 
 type taskEvent struct {
 	key float64
-	idx int
+	idx int32
 }
 
-func (h taskHeap) less(a, b int) bool {
-	return h[a].key < h[b].key || (h[a].key == h[b].key && h[a].idx < h[b].idx)
+func (a taskEvent) less(b taskEvent) bool {
+	return a.key < b.key || (a.key == b.key && a.idx < b.idx)
 }
 
-func (h *taskHeap) push(key float64, idx int) {
-	*h = append(*h, taskEvent{key, idx})
-	i := len(*h) - 1
+func (h *indexedHeap) len() int { return len(h.ents) }
+
+// due reports whether the minimum key is at or before t.
+func (h *indexedHeap) due(t float64) bool { return len(h.ents) > 0 && h.ents[0].key <= t }
+
+func (h *indexedHeap) has(idx int) bool { return idx < len(h.pos) && h.pos[idx] >= 0 }
+
+// set inserts task idx at key, or moves its existing entry to key.
+func (h *indexedHeap) set(key float64, idx int) {
+	for len(h.pos) <= idx {
+		h.pos = append(h.pos, -1)
+	}
+	i := int(h.pos[idx])
+	if i < 0 {
+		i = len(h.ents)
+		h.ents = append(h.ents, taskEvent{key, int32(idx)})
+	} else {
+		h.ents[i].key = key
+	}
+	if !h.up(i) {
+		h.down(i)
+	}
+}
+
+func (h *indexedHeap) pop() (float64, int) {
+	top := h.ents[0]
+	h.removeAt(0)
+	return top.key, int(top.idx)
+}
+
+// remove drops task idx's entry, if any.
+func (h *indexedHeap) remove(idx int) {
+	if h.has(idx) {
+		h.removeAt(int(h.pos[idx]))
+	}
+}
+
+func (h *indexedHeap) removeAt(i int) {
+	last := len(h.ents) - 1
+	h.pos[h.ents[i].idx] = -1
+	if i == last {
+		h.ents = h.ents[:last]
+		return
+	}
+	h.ents[i] = h.ents[last]
+	h.ents = h.ents[:last]
+	if !h.up(i) {
+		h.down(i)
+	}
+}
+
+// up sifts the entry at slot i toward the root, recording every slot it
+// writes, and reports whether the entry moved.
+func (h *indexedHeap) up(i int) bool {
+	e, from := h.ents[i], i
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(i, p) {
+		if !e.less(h.ents[p]) {
 			break
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		h.ents[i] = h.ents[p]
+		h.pos[h.ents[i].idx] = int32(i)
 		i = p
 	}
+	h.ents[i] = e
+	h.pos[e.idx] = int32(i)
+	return i != from
 }
 
-func (h *taskHeap) pop() (float64, int) {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	h.down(0)
-	return top.key, top.idx
-}
-
-func (h taskHeap) down(i int) {
+func (h *indexedHeap) down(i int) {
+	e, n := h.ents[i], len(h.ents)
 	for {
 		c := 2*i + 1
-		if c >= len(h) {
-			return
+		if c >= n {
+			break
 		}
-		if c+1 < len(h) && h.less(c+1, c) {
+		if c+1 < n && h.ents[c+1].less(h.ents[c]) {
 			c++
 		}
-		if !h.less(c, i) {
-			return
+		if !h.ents[c].less(e) {
+			break
 		}
-		h[i], h[c] = h[c], h[i]
+		h.ents[i] = h.ents[c]
+		h.pos[h.ents[i].idx] = int32(i)
 		i = c
 	}
+	h.ents[i] = e
+	h.pos[e.idx] = int32(i)
 }
 
 // RunOnline replays a release-time instance through the online scheduler in

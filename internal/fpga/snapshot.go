@@ -14,11 +14,11 @@ import (
 // into the engine.
 //
 // The derived event queues are deliberately NOT serialized: a heap's
-// internal layout depends on insertion history (including stale entries
-// left by compaction slides), but its pop sequence is a pure function of
-// the live (key, index) set, so Restore rebuilds equivalent queues from
-// the task state and the scheduler replays identically — the
-// crash-restart tests assert byte-identical continuation.
+// internal layout depends on insertion history, but it holds exactly one
+// entry per live event and its pop sequence is a pure function of that
+// (key, index) set, so Restore rebuilds equivalent queues from the task
+// state and the scheduler replays identically — the crash-restart tests
+// assert byte-identical continuation.
 type Snapshot struct {
 	// Version guards the format; RestoreScheduler rejects others.
 	Version int
@@ -58,8 +58,8 @@ type Snapshot struct {
 // Snapshot captures the scheduler's complete state. The returned value
 // shares nothing with the engine and is canonical: two schedulers in
 // equivalent states produce identical snapshots even when their internal
-// heaps hold different stale entries, so snapshots double as the state
-// comparison the fault-injection harness uses.
+// heaps, lists and FIFO are laid out differently, so snapshots double as
+// the state comparison the fault-injection harness uses.
 func (o *OnlineScheduler) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version:          1,
@@ -138,10 +138,10 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 	o.maxWaiting = s.MaxWaiting
 	o.rejected = s.Rejected
 	o.shedIDs = slices.Clone(s.ShedIDs)
-	// Derived state: ID index, counters, event queues (live entries only —
-	// pop order is a pure function of the (key, index) set, so dropping
-	// the stale duplicates the original heaps may have held changes
-	// nothing), and the per-column waiting lists.
+	// Derived state: ID index, counters, event queues (pop order is a pure
+	// function of the live (key, index) set, so the rebuilt heaps replay
+	// exactly like the originals), the shed FIFO and the per-column
+	// waiting lists.
 	waiting := make([]int, 0)
 	for i, t := range o.tasks {
 		o.byID[t.ID] = i
@@ -156,19 +156,21 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 		default:
 			waiting = append(waiting, i)
 			o.waiting++
-			o.startQ.push(t.Start-o.device.ReconfigDelay, i)
+			o.startQ.set(t.Start-o.device.ReconfigDelay, i)
 			if o.admission.Policy == AdmitShed {
 				o.waitFIFO = append(o.waitFIFO, i)
 			}
 		}
 		if !o.done[i] && !o.shed[i] && !math.IsNaN(o.actual[i]) {
-			o.compQ.push(t.Start+o.actual[i], i)
+			o.compQ.set(t.Start+o.actual[i], i)
 		}
 	}
 	if o.policy == ReclaimCompact {
 		o.fixedEnd = slices.Clone(s.FixedEnd)
-		o.taskNodes = make([][]int32, len(o.tasks))
-		o.inCand = make([]bool, len(o.tasks))
+		o.firstNode = make([]int32, len(o.tasks))
+		for i := range o.firstNode {
+			o.firstNode[i] = -1
+		}
 		o.slackQ = slices.Clone(s.Slack)
 		// Rebuild the per-column lists in increasing start order (ties by
 		// index — the order the engine maintained).
@@ -184,11 +186,7 @@ func RestoreScheduler(s *Snapshot) (*OnlineScheduler, error) {
 		})
 		for _, idx := range waiting {
 			t := o.tasks[idx]
-			nodes := make([]int32, t.Cols)
-			for j := range nodes {
-				nodes[j] = o.cidx.pushTail(t.FirstCol+j, idx)
-			}
-			o.taskNodes[idx] = nodes
+			o.firstNode[idx] = o.cidx.link(t.FirstCol, t.Cols, idx)
 		}
 	}
 	return o, nil
