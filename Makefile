@@ -31,7 +31,7 @@ vet:
 # checkpoint loop under concurrent tenant load, so the shard pool, the
 # lane locks and the checkpointer run genuinely concurrent under -race.
 race:
-	$(GO) test -race ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./cmd/placementd
+	$(GO) test -race ./internal/par ./internal/fpga ./internal/faultinject ./internal/fleet ./internal/service ./internal/experiments ./internal/core/release ./cmd/placementd
 
 ci: build vet test race bench-check determinism
 
@@ -60,8 +60,10 @@ bench-record:
 # batched-submission equivalence contract, the column pool's
 # pooled-vs-fresh height equivalence across interleaved width sets, and
 # the placement-service wire codec (decoders never panic on arbitrary
-# bytes; whatever decodes re-encodes canonically).
-# (go test accepts one -fuzz pattern per invocation, hence six runs.)
+# bytes; whatever decodes re-encodes canonically), and the parallel,
+# exactly sized checkpoint encoder (byte-identical to a plain append
+# encoder for arbitrary snapshot contents and worker counts).
+# (go test accepts one -fuzz pattern per invocation, hence seven runs.)
 fuzz:
 	$(GO) test ./internal/geom -fuzz FuzzSkylinePlace -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitComplete -fuzztime 30s
@@ -69,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitBatch -fuzztime 30s
 	$(GO) test ./internal/core/release -fuzz FuzzSolverPool -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzServiceCodec -fuzztime 30s
+	$(GO) test ./internal/service -fuzz FuzzCheckpointEncode -fuzztime 30s
 
 # The parallel engines' determinism contracts: experiment tables must be
 # byte-identical regardless of the trial-pool width (-parallel), the DC

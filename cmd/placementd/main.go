@@ -14,7 +14,8 @@
 // semantics — byte-identical stats and snapshots, as `make determinism`
 // enforces.
 //
-// With -checkpoint-dir the daemon is durable: it atomically writes the
+// With -checkpoint-dir the daemon is durable against process crashes
+// (not power loss: nothing is fsynced): it atomically writes the
 // whole fleet (manifest + every shard's canonical snapshot, see
 // internal/service/DESIGN.md) to <dir>/checkpoint.ckpt every
 // -checkpoint-every submit frames and again on graceful shutdown, and

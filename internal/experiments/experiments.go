@@ -25,6 +25,7 @@ import (
 	"strippack/internal/geom"
 	"strippack/internal/kr"
 	"strippack/internal/packing"
+	"strippack/internal/par"
 	"strippack/internal/stats"
 	"strippack/internal/workload"
 )
@@ -918,7 +919,7 @@ func E13(w io.Writer) error {
 		if workers == 0 {
 			workers = len(policies)
 		}
-		err = RunN(len(policies), workers, func(i int) error {
+		err = par.ForEach(len(policies), workers, func(i int) error {
 			_, st, err := fpga.RunChurn(tasks, fpga.NewDevice(K), policies[i])
 			if err != nil {
 				return err
@@ -1018,7 +1019,7 @@ func E14(w io.Writer) error {
 		if workers == 0 {
 			workers = len(admissions)
 		}
-		err = RunN(len(admissions), workers, func(i int) error {
+		err = par.ForEach(len(admissions), workers, func(i int) error {
 			_, st, err := fpga.RunChurnAdmission(tasks, fpga.NewDevice(K), fpga.ReclaimCompact, admissions[i])
 			if err != nil {
 				return err

@@ -89,42 +89,3 @@ func RunGrid[T any](rows, reps int, baseSeed int64, fn func(t Trial, rng *rand.R
 	}
 	return out, nil
 }
-
-// RunN runs fn(0..n-1) on up to `workers` goroutines and returns the
-// lowest-index error. Each call owns its index's state, so the result is
-// independent of the worker count — the same contract as RunGrid, used for
-// small intra-trial fan-outs (E13's per-policy simulations).
-func RunN(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

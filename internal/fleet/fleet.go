@@ -55,9 +55,9 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"strippack/internal/fpga"
+	"strippack/internal/par"
 	"strippack/internal/workload"
 )
 
@@ -745,7 +745,7 @@ func (f *Fleet) SubmitBatchTenant(ti int, specs []fpga.TaskSpec) ([]Placement, e
 	for j := range t.placedBy {
 		t.placedBy[j] = nil
 	}
-	err := f.fanOut(t.count, func(j int) error {
+	err := par.ForEach(t.count, f.cfg.Workers, func(j int) error {
 		if len(t.subs[j]) == 0 {
 			return nil
 		}
@@ -785,7 +785,7 @@ func (f *Fleet) DrainTenant(ti int) error {
 		return fmt.Errorf("fleet: tenant %d out of range [0, %d)", ti, len(f.lanes))
 	}
 	t := &f.lanes[ti]
-	return f.fanOut(t.count, func(j int) error {
+	return par.ForEach(t.count, f.cfg.Workers, func(j int) error {
 		if err := f.shards[t.first+j].Drain(); err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", t.first+j, err)
 		}
@@ -807,44 +807,6 @@ func (f *Fleet) TenantLoads(ti int) ([]fpga.LoadStats, error) {
 		out[j] = f.shards[t.first+j].Load()
 	}
 	return out, nil
-}
-
-// fanOut runs fn(j) for j in [0, n) — a lane's shards (shard t.first+j)
-// or the whole fleet — on up to cfg.Workers goroutines and returns the
-// error of the lowest-index failing call: the same min-index rule the
-// experiment runner uses, so the surfaced error never depends on goroutine
-// interleaving.
-func (f *Fleet) fanOut(n int, fn func(j int) error) error {
-	workers := min(f.cfg.Workers, n)
-	errs := make([]error, n)
-	if workers <= 1 {
-		for j := 0; j < n; j++ {
-			errs[j] = fn(j)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range next {
-					errs[j] = fn(j)
-				}
-			}()
-		}
-		for j := 0; j < n; j++ {
-			next <- j
-		}
-		close(next)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Stats aggregates a fleet churn run. PerShard is indexed by shard.
@@ -875,7 +837,7 @@ func (f *Fleet) Finish() (*Stats, error) {
 		return nil, err
 	}
 	per := make([]fpga.ChurnStats, len(f.shards))
-	err := f.fanOut(len(f.shards), func(i int) error {
+	err := par.ForEach(len(f.shards), f.cfg.Workers, func(i int) error {
 		o := f.shards[i]
 		sched := o.Schedule()
 		sim, simErr := sched.Simulate()

@@ -21,13 +21,31 @@ package service
 // a freshly built fleet that is discarded on error, so a refused
 // checkpoint never leaves a partially restored daemon.
 //
-// Checkpoints are written atomically (temp file + rename in the same
-// directory), and only at batch barriers (the server holds every lane
-// while capturing), so a crash at any instant leaves either the old or
-// the new checkpoint — never a torn one — and a recovered fleet resumes
-// byte-identically: canonical snapshots restore shard state, LaneState
-// replays routing cursors/rngs/meters, and `make determinism` pins
-// kill+recover+replay against the uninterrupted run.
+// The per-shard work runs in parallel on the fleet's Config.Workers
+// goroutines (par.ForEach; 0 = GOMAXPROCS), and the bytes do not depend
+// on the worker count:
+//
+//   - capture snapshots every shard of the quiescent fleet at once;
+//   - encode sizes each snapshot exactly (snapshotSize), allocates one
+//     buffer for the whole file, and encodes each snapshot straight
+//     into its own sub-slice of it; the sha256 over the payload is
+//     then written into the buffer's tail;
+//   - Recover restores (validates and rebuilds) every shard at once on
+//     the fresh fleet, reporting the lowest-index shard's error.
+//
+// A checkpoint therefore costs one file-sized buffer plus the captured
+// snapshots, and nothing is kept between calls.
+//
+// Checkpoints are written with one Write to a temp file in the same
+// directory, then renamed over the target, and only at batch barriers
+// (the server holds every lane while capturing). A *process* crash at
+// any instant leaves either the old or the new checkpoint, never a torn
+// one, and a recovered fleet resumes byte-identically: canonical
+// snapshots restore shard state, LaneState replays routing
+// cursors/rngs/meters, and `make determinism` pins kill+recover+replay
+// against the uninterrupted run. Nothing is fsynced, so this does not
+// hold across power loss or an OS crash: the rename may reach the disk
+// before the file's data does.
 
 import (
 	"crypto/sha256"
@@ -36,9 +54,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 
 	"strippack/internal/fleet"
 	"strippack/internal/fpga"
+	"strippack/internal/par"
 )
 
 // checkpointVersion is the on-disk format version.
@@ -69,17 +89,21 @@ type Checkpoint struct {
 	Shape *Info
 	Lanes []fleet.LaneState
 	Snaps []*fpga.Snapshot
+
+	// workers bounds EncodeCheckpoint's goroutines: the captured fleet's
+	// Config.Workers, or 0 (GOMAXPROCS) for a decoded checkpoint.
+	workers int
 }
 
-// CaptureCheckpoint snapshots a quiescent fleet into a Checkpoint.
-// Requires exclusive access to the fleet (the server's Checkpoint method
-// holds every lane while calling this).
+// CaptureCheckpoint snapshots a quiescent fleet into a Checkpoint,
+// every shard in parallel. Requires exclusive access to the fleet (the
+// server's Checkpoint method holds every lane while calling this).
 func CaptureCheckpoint(f *fleet.Fleet, epoch, seq uint64) (*Checkpoint, error) {
 	in, err := (Local{Fleet: f}).Info()
 	if err != nil {
 		return nil, err
 	}
-	ck := &Checkpoint{Epoch: epoch, Seq: seq, Shape: in.Shape()}
+	ck := &Checkpoint{Epoch: epoch, Seq: seq, Shape: in.Shape(), workers: f.Config().Workers}
 	ck.Lanes = make([]fleet.LaneState, f.Tenants())
 	for ti := range ck.Lanes {
 		if ck.Lanes[ti], err = f.LaneState(ti); err != nil {
@@ -87,32 +111,62 @@ func CaptureCheckpoint(f *fleet.Fleet, epoch, seq uint64) (*Checkpoint, error) {
 		}
 	}
 	ck.Snaps = make([]*fpga.Snapshot, f.Shards())
-	for i := range ck.Snaps {
-		if ck.Snaps[i], err = f.SnapshotShard(i); err != nil {
-			return nil, err
-		}
+	err = par.ForEach(len(ck.Snaps), ck.workers, func(i int) error {
+		var err error
+		ck.Snaps[i], err = f.SnapshotShard(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ck, nil
 }
 
 // EncodeCheckpoint returns the checkpoint file bytes: the codec payload
-// followed by its sha256.
+// followed by its sha256, in one exactly sized buffer. The snapshots are
+// sized and then encoded in parallel, each into its own sub-slice.
 func EncodeCheckpoint(ck *Checkpoint) []byte {
-	var e enc
-	e.uint(checkpointVersion)
-	e.uint(ck.Epoch)
-	e.uint(ck.Seq)
-	e.info(ck.Shape)
-	e.count(len(ck.Lanes))
+	var hdr enc
+	hdr.uint(checkpointVersion)
+	hdr.uint(ck.Epoch)
+	hdr.uint(ck.Seq)
+	hdr.info(ck.Shape)
+	hdr.count(len(ck.Lanes))
 	for i := range ck.Lanes {
-		e.laneState(&ck.Lanes[i])
+		hdr.laneState(&ck.Lanes[i])
 	}
-	e.count(len(ck.Snaps))
-	for _, s := range ck.Snaps {
-		e.snapshot(s)
+	hdr.count(len(ck.Snaps))
+
+	workers := ck.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	sum := sha256.Sum256(e.b)
-	return append(e.b, sum[:]...)
+	// off[i] is where snapshot i starts; off[len] is the payload length.
+	off := make([]int, len(ck.Snaps)+1)
+	par.ForEach(len(ck.Snaps), workers, func(i int) error {
+		off[i+1] = snapshotSize(ck.Snaps[i])
+		return nil
+	})
+	off[0] = len(hdr.b)
+	for i := range ck.Snaps {
+		off[i+1] += off[i]
+	}
+	n := off[len(ck.Snaps)]
+	b := make([]byte, n+sha256.Size)
+	copy(b, hdr.b)
+	par.ForEach(len(ck.Snaps), workers, func(i int) error {
+		// The capacity cap makes a size mismatch show up as a length
+		// mismatch instead of an overwrite of the next snapshot.
+		e := enc{b: b[off[i]:off[i]:off[i+1]]}
+		e.snapshot(ck.Snaps[i])
+		if len(e.b) != off[i+1]-off[i] {
+			panic(fmt.Sprintf("service: snapshot %d encodes to %d bytes, sized %d", i, len(e.b), off[i+1]-off[i]))
+		}
+		return nil
+	})
+	sum := sha256.Sum256(b[:n])
+	copy(b[n:], sum[:])
+	return b
 }
 
 // DecodeCheckpoint decodes EncodeCheckpoint's output, verifying the
@@ -154,9 +208,10 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint atomically writes the checkpoint file: encode to a
-// temp file in the target directory, fsync-free rename over the final
-// path. A crash mid-write leaves the previous checkpoint intact.
+// WriteCheckpoint writes the checkpoint file: encode, one Write to a
+// temp file in the target directory, rename over the final path. A
+// process crash mid-write leaves the previous checkpoint intact; there
+// is no fsync, so power loss can (see the file comment).
 func WriteCheckpoint(path string, ck *Checkpoint) error {
 	b := EncodeCheckpoint(ck)
 	dir := filepath.Dir(path)
@@ -197,7 +252,9 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 //
 // All-or-nothing: every restore happens on the fresh fleet, which is
 // only returned after the last one succeeds, so a refused checkpoint
-// (any typed error above) cannot leave partial state anywhere.
+// (any typed error above) cannot leave partial state anywhere. Shards
+// are restored in parallel; when several fail, the lowest-index shard's
+// error is reported, whatever the worker count.
 func Recover(path string, cfg fleet.Config, minEpoch uint64) (*fleet.Fleet, *Checkpoint, error) {
 	ck, err := ReadCheckpoint(path)
 	if err != nil {
@@ -226,10 +283,11 @@ func Recover(path string, cfg fleet.Config, minEpoch uint64) (*fleet.Fleet, *Che
 	if len(ck.Lanes) != f.Tenants() {
 		return nil, nil, fmt.Errorf("%w: %d lane states for %d tenants", ErrBadCheckpoint, len(ck.Lanes), f.Tenants())
 	}
-	for i, s := range ck.Snaps {
-		if err := f.RestoreShard(i, s); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-		}
+	err = par.ForEach(len(ck.Snaps), f.Config().Workers, func(i int) error {
+		return f.RestoreShard(i, ck.Snaps[i])
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	for ti, ls := range ck.Lanes {
 		if err := f.RestoreLane(ti, ls); err != nil {

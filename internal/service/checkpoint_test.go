@@ -1,12 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"strippack/internal/fleet"
@@ -282,4 +287,272 @@ func TestWriteCheckpointAtomic(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("checkpoint dir has %d entries, want 1", len(ents))
 	}
+}
+
+// encodeCheckpointAppend is the single-buffer append encoder the
+// parallel EncodeCheckpoint replaced, kept as its byte-for-byte oracle.
+func encodeCheckpointAppend(ck *Checkpoint) []byte {
+	var e enc
+	e.uint(checkpointVersion)
+	e.uint(ck.Epoch)
+	e.uint(ck.Seq)
+	e.info(ck.Shape)
+	e.count(len(ck.Lanes))
+	for i := range ck.Lanes {
+		e.laneState(&ck.Lanes[i])
+	}
+	e.count(len(ck.Snaps))
+	for _, s := range ck.Snaps {
+		e.snapshot(s)
+	}
+	sum := sha256.Sum256(e.b)
+	return append(e.b, sum[:]...)
+}
+
+// TestCheckpointGolden pins the file format: the checkpoint files of two
+// fixed fleets hash to the values recorded before the encoder went
+// parallel, for a serial and an eight-worker fleet alike.
+func TestCheckpointGolden(t *testing.T) {
+	wide := fleet.Config{
+		Shards: 24, Columns: 16, Policy: fpga.ReclaimCompact,
+		Admission: fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 8},
+		Route:     fleet.RouteLeast, Seed: 31,
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  fleet.Config
+		want string
+	}{
+		{"tenants", ckptConfig(), "f22d8c8f099a59cc3e4b4aaf3c45f118a9c5ecffc5a6dfeb454d50bfdbc5bf02"},
+		{"wide", wide, "0c5d8348047c6ae9c6527d2919d78ed826435e31acbe8bcfbdef8cb9986ba2fc"},
+	} {
+		for _, workers := range []int{1, 8} {
+			cfg := tc.cfg
+			cfg.Workers = workers
+			f, err := fleet.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti := 0; ti < f.Tenants(); ti++ {
+				churnFleet(t, f, ti, 0, 1500)
+			}
+			ck, err := CaptureCheckpoint(f, 3, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "checkpoint.ckpt")
+			if err := WriteCheckpoint(path, ck); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+				t.Errorf("%s, workers %d: checkpoint sha256 %s, want %s", tc.name, workers, got, tc.want)
+			}
+			if !bytes.Equal(b, encodeCheckpointAppend(ck)) {
+				t.Errorf("%s, workers %d: file differs from the append encoder's bytes", tc.name, workers)
+			}
+		}
+	}
+}
+
+// TestSnapshotSize: snapshotSize agrees with the encoder on churned,
+// idle, shed-heavy and named-task snapshots.
+func TestSnapshotSize(t *testing.T) {
+	var snaps []*fpga.Snapshot
+	f, err := fleet.New(ckptConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < f.Shards(); i++ { // idle
+		snaps = append(snaps, f.Shard(i).Snapshot())
+	}
+	for ti := 0; ti < f.Tenants(); ti++ {
+		churnFleet(t, f, ti, 0, 1500)
+	}
+	for i := 0; i < f.Shards(); i++ { // churned, under ReclaimCompact
+		snaps = append(snaps, f.Shard(i).Snapshot())
+	}
+	// Shed-heavy: a tiny backlog under heavy overload.
+	shed, err := fpga.NewOnlineSchedulerAdmission(fpga.NewDevice(4), fpga.Reclaim,
+		fpga.AdmissionConfig{Policy: fpga.AdmitShed, MaxBacklog: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := fleet.Specs(churnTrace(t, 5, 600, 4, 3), 0)
+	if _, err := shed.SubmitBatch(specs); err != nil {
+		t.Fatal(err)
+	}
+	if s := shed.Snapshot(); len(s.ShedIDs) < 100 {
+		t.Fatalf("only %d shed tasks; the case is not shed-heavy", len(s.ShedIDs))
+	} else {
+		snaps = append(snaps, s)
+	}
+	// Named tasks, with names long enough for multi-byte length prefixes.
+	named := fpga.NewOnlineSchedulerPolicy(fpga.NewDevice(8), fpga.ReclaimCompact)
+	for i := 0; i < 50; i++ {
+		name := strings.Repeat("n", i*7)
+		if _, err := named.Submit(i, name, 1+i%8, 1+float64(i%5), float64(i)/3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps = append(snaps, named.Snapshot())
+	for i, s := range snaps {
+		if got, want := snapshotSize(s), len(EncodeSnapshot(s)); got != want {
+			t.Errorf("snapshot %d: snapshotSize %d, encoded %d bytes", i, got, want)
+		}
+	}
+}
+
+// TestRecoverLowestShardError: with two corrupt shards the reported
+// error is the lower-index shard's, for every worker count.
+func TestRecoverLowestShardError(t *testing.T) {
+	cfg := ckptConfig()
+	f, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := 0; ti < f.Tenants(); ti++ {
+		churnFleet(t, f, ti, 0, 1500)
+	}
+	ck, err := CaptureCheckpoint(f, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := *ck
+	c.Snaps = append([]*fpga.Snapshot(nil), ck.Snaps...)
+	narrow := fpga.NewOnlineSchedulerPolicy(&fpga.Device{Columns: 4}, fpga.ReclaimCompact)
+	c.Snaps[4] = narrow.Snapshot()
+	torn := *c.Snaps[1]
+	torn.Done = torn.Done[:0]
+	c.Snaps[1] = &torn
+	path := filepath.Join(t.TempDir(), "checkpoint.ckpt")
+	if err := os.WriteFile(path, EncodeCheckpoint(&c), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for _, workers := range []int{1, 2, 3, 6, 8} {
+		cfg.Workers = workers
+		got, ckGot, err := Recover(path, cfg, 1)
+		if !errors.Is(err, ErrBadCheckpoint) || got != nil || ckGot != nil {
+			t.Fatalf("workers %d: err = %v, state returned %v", workers, err, got != nil || ckGot != nil)
+		}
+		if !strings.Contains(err.Error(), "restore shard 1:") {
+			t.Fatalf("workers %d: err = %v, want shard 1's error", workers, err)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("workers %d: err = %q, workers 1 reported %q", workers, err, first)
+		}
+	}
+}
+
+// randSnapshot builds a structurally arbitrary snapshot (it need not
+// restore): field values cluster at the varint length boundaries, and
+// slices are nil, empty or filled.
+func randSnapshot(rng *rand.Rand, name string) *fpga.Snapshot {
+	edges := []int64{0, 1, -1, 63, -64, 64, -65, 8191, -8192, 8192, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
+	num := func() int {
+		if rng.Intn(3) == 0 {
+			return int(rng.Int63() - rng.Int63())
+		}
+		return int(edges[rng.Intn(len(edges))])
+	}
+	f := func() float64 { return math.Float64frombits(rng.Uint64()) }
+	size := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return -1 // nil
+		case 1:
+			return 0
+		}
+		return rng.Intn(200)
+	}
+	ints := func() []int {
+		n := size()
+		if n < 0 {
+			return nil
+		}
+		v := make([]int, n)
+		for i := range v {
+			v[i] = num()
+		}
+		return v
+	}
+	f64s := func() []float64 {
+		n := size()
+		if n < 0 {
+			return nil
+		}
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = f()
+		}
+		return v
+	}
+	bools := func() []bool {
+		n := size()
+		if n < 0 {
+			return nil
+		}
+		v := make([]bool, n)
+		for i := range v {
+			v[i] = rng.Intn(2) == 0
+		}
+		return v
+	}
+	s := &fpga.Snapshot{
+		Version: num(), Columns: num(), ReconfigDelay: f(), Policy: fpga.Policy(num()),
+		Admission: fpga.AdmissionConfig{Policy: fpga.AdmissionPolicy(num()), MaxBacklog: num()},
+		Now:       f(),
+		Done:      bools(), Shed: bools(), Started: bools(),
+		Actual: f64s(), Horizon: f64s(), FixedEnd: f64s(), Slack: ints(),
+		ReclaimedColTime: f(), CompactPasses: num(), TasksMoved: num(),
+		MaxWaiting: num(), Rejected: num(), ShedIDs: ints(),
+	}
+	if n := size(); n >= 0 {
+		s.Tasks = make([]fpga.Task, n)
+		for i := range s.Tasks {
+			s.Tasks[i] = fpga.Task{
+				ID: num(), Name: name[:rng.Intn(len(name)+1)], FirstCol: num(), Cols: num(),
+				Start: f(), Duration: f(), Release: f(),
+			}
+		}
+	}
+	return s
+}
+
+// FuzzCheckpointEncode: the parallel, exactly sized EncodeCheckpoint
+// produces the append encoder's bytes for arbitrary snapshot contents
+// and any worker count, and snapshotSize matches every snapshot's
+// encoding.
+func FuzzCheckpointEncode(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(2), "task")
+	f.Add(int64(7), uint8(0), uint8(1), "")
+	f.Add(int64(42), uint8(40), uint8(8), strings.Repeat("x", 300))
+	f.Fuzz(func(t *testing.T, seed int64, nSnaps, workers uint8, name string) {
+		rng := rand.New(rand.NewSource(seed))
+		ck := &Checkpoint{
+			Epoch: rng.Uint64(), Seq: rng.Uint64(),
+			Shape: &Info{
+				Shards: int(nSnaps), Cols: []int{4, 8}, Seed: rng.Int63(),
+				Tenants: []TenantInfo{{Name: name, Count: int(nSnaps), MaxBacklog: -1}},
+			},
+			Lanes:   []fleet.LaneState{{Name: name, RR: rng.Int(), RNGDraws: rng.Uint64()}},
+			Snaps:   make([]*fpga.Snapshot, nSnaps),
+			workers: int(workers % 10),
+		}
+		for i := range ck.Snaps {
+			ck.Snaps[i] = randSnapshot(rng, name)
+			if got, want := snapshotSize(ck.Snaps[i]), len(EncodeSnapshot(ck.Snaps[i])); got != want {
+				t.Fatalf("snapshot %d: snapshotSize %d, encoded %d bytes", i, got, want)
+			}
+		}
+		if got, want := EncodeCheckpoint(ck), encodeCheckpointAppend(ck); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeCheckpoint (%d bytes) differs from the append encoder (%d bytes)", len(got), len(want))
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"strippack/internal/fleet"
 	"strippack/internal/fpga"
@@ -56,6 +57,11 @@ const (
 // corrupted length prefix instead of attempting an absurd allocation.
 const maxFrame = 1 << 30
 
+// frameChunk bounds what readFrame allocates before payload bytes arrive:
+// a header is only a claim, so a peer that declares a large frame and
+// then stalls holds at most this much of the daemon's memory.
+const frameChunk = 1 << 20
+
 var (
 	// ErrMalformed marks a frame or body that does not decode.
 	ErrMalformed = errors.New("service: malformed message")
@@ -87,14 +93,24 @@ func readFrame(r interface {
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: %d-byte frame exceeds limit", ErrMalformed, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	// Frames up to frameChunk are read into one exact allocation; larger
+	// ones start at frameChunk and at most double per step, each step
+	// only after the previous one filled.
+	payload := make([]byte, min(n, frameChunk))
+	for off := 0; ; {
+		k, err := io.ReadFull(r, payload[off:])
+		off += k
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
-		return nil, err
+		if uint64(off) == n {
+			return payload, nil
+		}
+		payload = append(payload, make([]byte, min(n-uint64(off), uint64(off)))...)
 	}
-	return payload, nil
 }
 
 // enc appends primitives to a buffer.
@@ -360,6 +376,46 @@ func (e *enc) snapshot(s *fpga.Snapshot) {
 	e.int(s.MaxWaiting)
 	e.int(s.Rejected)
 	e.ints(s.ShedIDs)
+}
+
+// snapshotSize returns len(EncodeSnapshot(s)) without encoding: the
+// checkpoint writer sizes its one output buffer from it, so it must
+// mirror enc.snapshot field for field.
+func snapshotSize(s *fpga.Snapshot) int {
+	n := intLen(s.Version) + intLen(s.Columns) + 8 + intLen(int(s.Policy)) +
+		intLen(int(s.Admission.Policy)) + intLen(s.Admission.MaxBacklog) + 8
+	n += uintLen(uint64(len(s.Tasks)))
+	for i := range s.Tasks {
+		t := &s.Tasks[i]
+		n += intLen(t.ID) + uintLen(uint64(len(t.Name))) + len(t.Name) +
+			intLen(t.FirstCol) + intLen(t.Cols) + 3*8
+	}
+	for _, v := range [...][]bool{s.Done, s.Shed, s.Started} {
+		n += uintLen(uint64(len(v))) + len(v)
+	}
+	for _, v := range [...][]float64{s.Actual, s.Horizon, s.FixedEnd} {
+		n += uintLen(uint64(len(v))) + 8*len(v)
+	}
+	n += intsLen(s.Slack) + 8 + intLen(s.CompactPasses) + intLen(s.TasksMoved) +
+		intLen(s.MaxWaiting) + intLen(s.Rejected) + intsLen(s.ShedIDs)
+	return n
+}
+
+// uintLen and intLen are the byte counts of enc.uint and enc.int (the
+// latter zigzag-encodes, as binary.AppendVarint does).
+func uintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func intLen(v int) int {
+	x := int64(v)
+	return uintLen(uint64(x<<1) ^ uint64(x>>63))
+}
+
+func intsLen(v []int) int {
+	n := uintLen(uint64(len(v)))
+	for _, x := range v {
+		n += intLen(x)
+	}
+	return n
 }
 
 func (d *dec) snapshot() *fpga.Snapshot {

@@ -3,9 +3,12 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"strippack/internal/fleet"
 	"strippack/internal/fpga"
@@ -34,6 +37,81 @@ func TestFrameRoundTrip(t *testing.T) {
 	e.uint(maxFrame + 1)
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader(e.b))); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// TestFrameLargeRoundTrip: frames past frameChunk, read in growing
+// steps, arrive intact, including across short reads.
+func TestFrameLargeRoundTrip(t *testing.T) {
+	for _, n := range []int{frameChunk, frameChunk + 1, 3*frameChunk + 17} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readFrame(bufio.NewReader(iotest.HalfReader(&buf)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte frame: got %d bytes back", n, len(got))
+		}
+	}
+}
+
+// TestFrameHeaderBoundedAlloc: a header declaring a 1 GiB frame, followed
+// by EOF or by a stalled peer, allocates a bounded buffer rather than the
+// declared size, and fails with io.ErrUnexpectedEOF.
+func TestFrameHeaderBoundedAlloc(t *testing.T) {
+	const limit = 4 << 20
+	var hdr enc
+	hdr.uint(1 << 30)
+	allocated := func(fn func()) uint64 {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		fn()
+		runtime.ReadMemStats(&b)
+		return b.TotalAlloc - a.TotalAlloc
+	}
+
+	// Header, a few payload bytes, then EOF.
+	var err error
+	n := allocated(func() {
+		data := append(append([]byte(nil), hdr.b...), make([]byte, 100)...)
+		_, err = readFrame(bufio.NewReader(bytes.NewReader(data)))
+	})
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header then EOF: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if n >= limit {
+		t.Fatalf("header then EOF: allocated %d bytes, want < %d", n, limit)
+	}
+
+	// Header, then a peer that stalls. The second write can only be
+	// consumed once readFrame has made its buffer and is reading into it.
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	n = allocated(func() {
+		go func() {
+			_, err := readFrame(bufio.NewReader(pr))
+			done <- err
+		}()
+		if _, err := pw.Write(hdr.b); err != nil {
+			t.Error(err)
+		}
+		if _, err := pw.Write(make([]byte, 100)); err != nil {
+			t.Error(err)
+		}
+	})
+	if n >= limit {
+		t.Fatalf("stalled peer: allocated %d bytes while waiting, want < %d", n, limit)
+	}
+	pw.Close()
+	if err := <-done; err != io.ErrUnexpectedEOF {
+		t.Fatalf("stalled peer then close: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
