@@ -60,10 +60,14 @@ bench-record:
 # batched-submission equivalence contract, the column pool's
 # pooled-vs-fresh height equivalence across interleaved width sets, and
 # the placement-service wire codec (decoders never panic on arbitrary
-# bytes; whatever decodes re-encodes canonically), and the parallel,
+# bytes; whatever decodes re-encodes canonically), the parallel,
 # exactly sized checkpoint encoder (byte-identical to a plain append
-# encoder for arbitrary snapshot contents and worker counts).
-# (go test accepts one -fuzz pattern per invocation, hence seven runs.)
+# encoder for arbitrary snapshot contents and worker counts), and the
+# revised simplex's start basis (an installed start reaches the no-start
+# optimum without phase 1; a dropped one gives the no-start result bit for
+# bit; the incrementally updated duals match a fresh c_B·B⁻¹ after every
+# pivot).
+# (go test accepts one -fuzz pattern per invocation, hence eight runs.)
 fuzz:
 	$(GO) test ./internal/geom -fuzz FuzzSkylinePlace -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitComplete -fuzztime 30s
@@ -72,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/core/release -fuzz FuzzSolverPool -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzServiceCodec -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzCheckpointEncode -fuzztime 30s
+	$(GO) test ./internal/lp -fuzz FuzzRevisedStartBasis -fuzztime 30s
 
 # The parallel engines' determinism contracts: experiment tables must be
 # byte-identical regardless of the trial-pool width (-parallel), the DC

@@ -248,6 +248,41 @@ func BenchmarkE7CGPooled(b *testing.B) {
 	}
 }
 
+// BenchmarkSolverWarmFPGA40 mirrors the release half of the perfbench
+// solve workload: one op builds a fresh release.Solver, warms its column
+// pool with one FPGA(40, K, 3) instance per K in {4, 5, 6}, then solves 96
+// further such instances (32 per K, interleaved) through the warm pools.
+// The ns/solve metric is the op time over all 99 solves.
+func BenchmarkSolverWarmFPGA40(b *testing.B) {
+	Ks := []int{4, 5, 6}
+	rng := rand.New(rand.NewSource(11))
+	var warm, ins []*Instance
+	for _, K := range Ks {
+		warm = append(warm, workload.FPGA(rng, 40, K, 3))
+	}
+	for i := 0; i < 32; i++ {
+		for _, K := range Ks {
+			ins = append(ins, workload.FPGA(rng, 40, K, 3))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := release.NewSolver(release.CGOptions{})
+		for _, in := range warm {
+			if _, _, err := s.Solve(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, in := range ins {
+			if _, _, err := s.Solve(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(warm)+len(ins))), "ns/solve")
+}
+
 // boundServerStream is the repeated-request shape a long-running bound
 // service sees: eight distinct K=4 FPGA instances over one width set,
 // each requested six times, interleaved.

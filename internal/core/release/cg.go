@@ -5,11 +5,10 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"strippack/internal/geom"
 	"strippack/internal/lp"
+	"strippack/internal/par"
 )
 
 // This file implements delayed column generation for the configuration LP
@@ -31,12 +30,24 @@ import (
 //     common unit (FPGA columns) the knapsack is a dense DP over
 //     strip-in-units; otherwise an exact branch-and-bound over the width
 //     multiplicities with a fractional upper-bound prune.
-//   - Phases price independently, fanned out on a RunGrid-style worker
-//     pool. Determinism contract: pricing is a pure function of the duals
-//     with fixed tie-breaking (first improvement in fixed scan order), and
-//     candidates merge in phase order, so the generated configuration
-//     sequence — and therefore every table built on SolveCG — is
-//     byte-identical for any Workers value.
+//   - Phases price independently, fanned out with par.ForEachWorker, each
+//     worker on its own pricer scratch. Determinism contract: pricing is
+//     a pure function of the duals with fixed tie-breaking (first
+//     improvement in fixed scan order), and candidates merge in phase
+//     order, so the generated configuration sequence — and therefore
+//     every table built on SolveCG — is byte-identical for any Workers
+//     value.
+//   - Start: the master is feasible from the outset with all demand in
+//     the singleton configurations of the uncapped last phase (the
+//     Gilmore–Gomory start, see singletonStart), so the first master
+//     solve runs no phase 1. Pack alone keeps the simplex's artificial
+//     two-phase start: ToIntegral rounds whichever basic optimum the
+//     simplex lands on, and the singleton start lands on another one for
+//     a sizable share of instances, moving APTAS heights both ways: over
+//     1536 FPGA(40, K 4/5/6, releases over [0,3]) instances at ε=1, 275
+//     packings got taller and 170 shorter, and the mean APTAS/OPT_f rose
+//     from 1.2206 to 1.2246. The fractional optimum's height does not
+//     depend on the start beyond LP round-off.
 //
 // The loop terminates when no phase prices a column with reduced cost
 // below -cgPriceTol: the master optimum is then optimal for the full LP,
@@ -95,14 +106,16 @@ const maxPriceUnits = 1 << 12
 // unchanged. SolveCG is the poolless reference path; Solver runs the same
 // engine warm-started from its persistent cross-solve column pool.
 func SolveCG(in *geom.Instance, opts CGOptions) (*FractionalSolution, *CGStats, error) {
-	return solveCG(in, opts, nil)
+	return solveCG(in, opts, nil, false)
 }
 
 // solveCG is the column-generation core: build the restricted master, start
 // from the singleton configurations, bulk-load the seed configurations (a
 // Solver's pool snapshot; nil for poolless solves), then alternate master
-// re-optimization with knapsack pricing until no column improves.
-func solveCG(in *geom.Instance, opts CGOptions, seed []Config) (*FractionalSolution, *CGStats, error) {
+// re-optimization with knapsack pricing until no column improves. The
+// first master solve starts from the singleton basis (singletonStart)
+// unless twoPhase asks for the simplex's artificial two-phase start.
+func solveCG(in *geom.Instance, opts CGOptions, seed []Config, twoPhase bool) (*FractionalSolution, *CGStats, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -170,14 +183,6 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config) (*FractionalSolut
 	if err != nil {
 		return nil, nil, err
 	}
-	// Arena hints: W singleton configs, the pool seed, plus a generation
-	// headroom of ~32 configs (E7 tops out around 26 even at K=24), each
-	// with one column per phase, plus up to two logical columns per row; a
-	// phase-j column hits on average about half the covering rows.
-	// Exceeding the hint just falls back to append growth.
-	expCols := (W+len(seed)+32)*phases + 2*len(ops)
-	expNNZ := expCols * (len(ops)/2 + 2)
-	solver.Reserve(expCols, expNNZ)
 	st := &cgSolve{
 		m: m, R: R, W: W, phases: phases, strip: strip,
 		covRow: covRow, solver: solver,
@@ -202,23 +207,62 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config) (*FractionalSolut
 	st.candOK = make([]bool, phases)
 	st.colIdx = make([]int32, 0, len(ops)+1)
 	st.colVal = make([]float64, 0, len(ops)+1)
-	m.Configs = make([]Config, 0, W+len(seed)+32)
 
 	// Trivial feasible start: the maximal single-width configuration per
 	// width (phase R is uncapped, so covering is always satisfiable).
+	// single[i] is width i's singleton in m.Configs, -1 when the width does
+	// not fit the strip (the LP then reports infeasible).
+	single := make([]int, W)
+	var singles [][]int
 	for i := 0; i < W; i++ {
+		single[i] = -1
 		c := int((strip + geom.Eps) / m.Widths[i])
 		if c < 1 {
-			continue // wider than the strip; the LP will report infeasible
+			continue
 		}
 		counts := st.carveCounts()
 		counts[i] = c
+		single[i] = len(singles)
+		singles = append(singles, counts)
+	}
+	// Seeds dedup against the singletons (pool entries are already
+	// mutually distinct).
+	var accepted []Config
+	for _, c := range seed {
+		if !slices.ContainsFunc(singles, func(s []int) bool { return slices.Equal(s, c.Counts) }) {
+			accepted = append(accepted, c)
+		}
+	}
+	// Arena hints, exact for the start: the singletons, the seeds and the
+	// logical columns (a slack per packing row, a surplus and an
+	// artificial per covering row). Generated columns use append growth:
+	// a warm solve mostly generates none, and on the solve benchmark's
+	// instances (41 phases) any fixed headroom cost more allocation than
+	// the regrowth it saved.
+	nnz := 2*len(ops) - R
+	for _, c := range singles {
+		nnz += st.configNNZ(c)
+	}
+	seedNNZ := 0
+	for _, c := range accepted {
+		seedNNZ += st.configNNZ(c.Counts)
+	}
+	nnz += seedNNZ
+	nCfg := len(singles) + len(accepted)
+	solver.Reserve(nCfg*phases+2*len(ops)-R, nnz)
+	m.Configs = make([]Config, 0, nCfg)
+	for _, counts := range singles {
 		if err := st.addConfig(counts); err != nil {
 			return nil, nil, err
 		}
 	}
-	if len(seed) > 0 {
-		if err := st.seedConfigs(seed); err != nil {
+	if len(accepted) > 0 {
+		if err := st.seedConfigs(accepted, seedNNZ); err != nil {
+			return nil, nil, err
+		}
+	}
+	if !twoPhase && !slices.Contains(single, -1) {
+		if err := solver.SetStartBasis(st.singletonStart(single)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -358,47 +402,59 @@ func (st *cgSolve) addConfig(counts []int) error {
 	return nil
 }
 
-// seedConfigs bulk-loads a Solver's pool snapshot into the restricted
-// master. Every seed is feasible here by the pool-key contract (same strip
-// width, same width set), so its phase columns load unchanged; seeds dedup
-// against the singleton start (pool entries are already mutually distinct)
-// and append in pool-insertion order, keeping the master column order — and
-// therefore the simplex path — a pure function of the solve sequence. The
-// Counts slices stay shared with the pool read-only. All columns assemble
-// into one lp.Revised.AddColumns batch so the arenas grow exactly once.
-func (st *cgSolve) seedConfigs(seed []Config) error {
-	st.seedStart = len(st.m.Configs)
-	accepted := make([]Config, 0, len(seed))
-	for _, c := range seed {
-		dup := false
-		for q := range st.m.Configs {
-			if slices.Equal(st.m.Configs[q].Counts, c.Counts) {
-				dup = true
+// configNNZ counts the master entries of a configuration's phase columns:
+// a covering row of phase k appears in the columns of phases j >= k, i.e.
+// phases-k times, and each of the R capped phases adds one packing entry.
+func (st *cgSolve) configNNZ(counts []int) int {
+	nnz := st.R
+	for k := 0; k < st.phases; k++ {
+		row := st.covRow[k]
+		for i, cnt := range counts {
+			if cnt > 0 && row[i] >= 0 {
+				nnz += st.phases - k
+			}
+		}
+	}
+	return nnz
+}
+
+// singletonStart is the Gilmore–Gomory start basis of the master: all
+// demand in the singleton configurations' phase-R columns. Width i's
+// singleton column is basic in width i's first demanding covering row k0,
+// at height rowRHS[k0]/c_i; width i's later covering rows k > k0 keep
+// their surplus basic, at rowRHS[k0] - rowRHS[k] >= 0 (suffix sums only
+// shrink); every packing row keeps its slack, at its full phase length.
+// The basis is block triangular per width, so it is nonsingular and
+// feasible and the master skips phase 1. single[i] indexes width i's
+// singleton in m.Configs.
+func (st *cgSolve) singletonStart(single []int) []int {
+	start := make([]int, st.solver.NumRows())
+	for r := range start {
+		start[r] = lp.Logical
+	}
+	for i, q := range single {
+		for k := 0; k < st.phases; k++ {
+			if r := st.covRow[k][i]; r >= 0 {
+				start[r] = q*st.phases + st.R
 				break
 			}
 		}
-		if !dup {
-			accepted = append(accepted, c)
-		}
 	}
+	return start
+}
+
+// seedConfigs bulk-loads the accepted part of a Solver's pool snapshot
+// (deduped against the singletons) into the restricted master; nnz is
+// their configNNZ total. Every seed is feasible here by the pool-key
+// contract (same strip width, same width set), so its phase columns load
+// unchanged; seeds append in pool-insertion order, keeping the master
+// column order — and therefore the simplex path — a pure function of the
+// solve sequence. The Counts slices stay shared with the pool read-only.
+// All columns assemble into one lp.Revised.AddColumns batch so the arenas
+// grow at most once.
+func (st *cgSolve) seedConfigs(accepted []Config, nnz int) error {
+	st.seedStart = len(st.m.Configs)
 	st.seedCount = len(accepted)
-	if st.seedCount == 0 {
-		return nil
-	}
-	// Exact CSR sizing: a covering-row entry of phase row k appears in the
-	// columns of phases j >= k, i.e. phases-k times; each of the R capped
-	// phases contributes one packing entry per configuration.
-	nnz := st.seedCount * st.R
-	for _, c := range accepted {
-		for k := 0; k < st.phases; k++ {
-			row := st.covRow[k]
-			for i, cnt := range c.Counts {
-				if cnt > 0 && row[i] >= 0 {
-					nnz += st.phases - k
-				}
-			}
-		}
-	}
 	nCols := st.seedCount * st.phases
 	costs := make([]float64, 0, nCols)
 	starts := make([]int32, 1, nCols+1)
@@ -453,28 +509,10 @@ func (st *cgSolve) priceAndAdd(duals []float64, workers int) (int, error) {
 			st.nu[k][i] = acc
 		}
 	}
-	if workers <= 1 {
-		for j := 0; j < st.phases; j++ {
-			st.pricePhase(j, st.pricers[0], duals)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(p *pricer) {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= st.phases {
-						return
-					}
-					st.pricePhase(j, p, duals)
-				}
-			}(st.pricers[w])
-		}
-		wg.Wait()
-	}
+	_ = par.ForEachWorker(st.phases, workers, func(w, j int) error {
+		st.pricePhase(j, st.pricers[w], duals) // pricing cannot fail
+		return nil
+	})
 	// Candidates are deduped against every generated configuration (in
 	// phase order, so the merge is independent of the worker count). A
 	// candidate from an earlier round is all but impossible — its column

@@ -11,8 +11,8 @@ import (
 // so it is feasible for *every* instance sharing the (strip width, distinct
 // width set) pair — which is exactly what the pool is keyed by. Seeding a
 // new solve's restricted master from the pool turns column generation into a
-// cross-request engine: pricing starts from a near-complete column set and
-// most warm solves converge in one or two rounds.
+// cross-request engine: most warm solves converge in one or two pricing
+// rounds, at the price of a larger master (see Solver for what that costs).
 
 // poolKey canonicalizes the (strip width, distinct width set) pair a column
 // pool is keyed by. Two instances share a key exactly when a configuration

@@ -34,8 +34,10 @@
 // have generated, bulk-loads the pool into each new solve's restricted
 // master (one lp.Revised.AddColumns batch, after the singletons, in
 // pool-insertion order, deduped by packed multiplicity vector), and
-// appends what the solve generates back. Warm solves start near-optimal
-// and typically converge in 1–3 pricing rounds instead of tens.
+// appends what the solve generates back. Warm solves converge in 1–2
+// pricing rounds instead of 3–8, but the seeded columns enlarge the
+// master and its simplex makes more pivots, so the pool is no speedup by
+// itself on most measured traffic (see Solver).
 // BoundCache owns a Solver, so it memoizes the work of column generation
 // across distinct instances as well as the answers to repeated ones, and
 // caches errors so a failing instance is diagnosed once.

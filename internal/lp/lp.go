@@ -22,7 +22,8 @@
 //     O(nnz + m²) instead of O(rows·cols). The Revised form accepts new
 //     columns between Solve calls and re-optimizes from the current basis,
 //     which is what the configuration-LP column generation in
-//     internal/core/release needs.
+//     internal/core/release needs; SetStartBasis lets its first Solve
+//     start from a known feasible basis and skip phase 1.
 //
 // Sparse layout: a Constraint added via AddSparseConstraint stores strictly
 // ascending column indices Idx with matching values Val and a nil Coeffs;

@@ -29,6 +29,15 @@ const (
 // products (FTRAN). Bland's rule on the fixed column order precludes
 // cycling, and the inverse is refactorized from the basis columns every few
 // dozen pivots to bound numerical drift.
+//
+// The first Solve starts from slacks and artificials and runs phase 1,
+// unless SetStartBasis named a start basis: one that is nonsingular and
+// primal feasible is installed and phase 1 is skipped; any other start
+// falls back to the artificial start, with the same result as no start.
+// Within a Solve the simplex multipliers y = c_B·B⁻¹ are recomputed only
+// when pricing begins and after each refactorization; a pivot updates them
+// in O(m) from the new inverse row (y += rc_enter · B⁻¹[leave]). The duals
+// a Solve reports are always recomputed from the final inverse.
 type Revised struct {
 	m    int
 	rhs  []float64  // normalized to >= 0
@@ -44,8 +53,9 @@ type Revised struct {
 	poss     []int32 // position among structural columns, -1 otherwise
 	nStruct  int
 
+	start    []int // start basis from SetStartBasis, consumed by init
 	inited   bool
-	feasible bool // phase 1 certified a feasible basis; it stays feasible
+	feasible bool // a feasible basis is installed; it stays feasible
 	basis    []int
 	inBasis  []bool
 	binv     []float64 // m×m row-major basis inverse
@@ -54,6 +64,38 @@ type Revised struct {
 	d        []float64 // scratch: FTRAN of the entering column
 	refArena []float64 // scratch: refactorization workspace
 	iters    int
+
+	afterPivot func(phase1 bool) // test hook, run after every simplex pivot
+}
+
+// Logical names, in a start basis, the row's own slack (LE row) or surplus
+// (GE row) column; see SetStartBasis.
+const Logical = -1
+
+// SetStartBasis names the basis the first Solve starts from: start[i] is
+// the structural column (its position in Solution.X, already added) basic
+// in row i, or Logical for row i's own slack or surplus, with senses taken
+// after the negative-RHS normalization of NewRevised. It must be called
+// before the first Solve. The start is installed only when it is
+// nonsingular and every basic value is >= -1e-9; phase 1 is then skipped.
+// A singular or infeasible start, or one that puts Logical on an EQ row
+// (which has no slack), is dropped in favour of the artificial two-phase
+// start, with the result Solve gives without a start. An entry out of
+// range, a wrong length or a call after the first Solve is an error.
+func (r *Revised) SetStartBasis(start []int) error {
+	if r.inited {
+		return fmt.Errorf("lp: start basis set after the first Solve")
+	}
+	if len(start) != r.m {
+		return fmt.Errorf("lp: start basis has %d entries for %d rows", len(start), r.m)
+	}
+	for i, c := range start {
+		if c != Logical && (c < 0 || c >= r.nStruct) {
+			return fmt.Errorf("lp: start basis row %d names column %d, want Logical or [0,%d)", i, c, r.nStruct)
+		}
+	}
+	r.start = append(r.start[:0], start...)
+	return nil
 }
 
 // NewRevised creates a solver for the given row senses and right-hand
@@ -233,7 +275,8 @@ func (r *Revised) addLogical(kind int8, row int, v float64) int {
 }
 
 // init builds the logical columns and the identity starting basis (slacks
-// on LE rows, artificials on GE/EQ rows).
+// on LE rows, artificials on GE/EQ rows), then tries the caller's start
+// basis, if any.
 func (r *Revised) init() {
 	r.basis = make([]int, r.m)
 	for i := 0; i < r.m; i++ {
@@ -255,20 +298,60 @@ func (r *Revised) init() {
 	} else {
 		r.inBasis = make([]bool, n)
 	}
-	for _, b := range r.basis {
-		r.inBasis[b] = true
-	}
 	m := r.m
 	back := make([]float64, m*m+3*m) // binv | xb | y | d in one slab
 	r.binv = back[:m*m]
-	for i := 0; i < m; i++ {
-		r.binv[i*m+i] = 1
-	}
 	r.xb = back[m*m : m*m+m]
-	copy(r.xb, r.rhs)
 	r.y = back[m*m+m : m*m+2*m]
 	r.d = back[m*m+2*m:]
 	r.inited = true
+	if r.start == nil || !r.installStart() {
+		r.identityStart()
+	}
+	for _, b := range r.basis {
+		r.inBasis[b] = true
+	}
+}
+
+// identityStart sets the inverse and basic values for the slack/artificial
+// basis init builds.
+func (r *Revised) identityStart() {
+	m := r.m
+	clear(r.binv)
+	for i := 0; i < m; i++ {
+		r.binv[i*m+i] = 1
+	}
+	copy(r.xb, r.rhs)
+}
+
+// installStart swaps the slack/artificial basis for the SetStartBasis one
+// and refactors. It keeps the start, and certifies it feasible, only when
+// the start is nonsingular with every basic value >= -tol; otherwise it
+// restores the slack/artificial basis and reports false.
+func (r *Revised) installStart() bool {
+	own := r.basis // row i's slack (LE) or artificial (GE, EQ)
+	start := r.start
+	r.start = nil
+	basis := make([]int, r.m)
+	for i, c := range start {
+		switch {
+		case c != Logical:
+			basis[i] = c // structural columns precede the logicals
+		case r.ops[i] == LE:
+			basis[i] = own[i]
+		case r.ops[i] == GE:
+			basis[i] = own[i] - 1 // the surplus, added just before
+		default:
+			return false // an EQ row has no slack to start from
+		}
+	}
+	r.basis = basis
+	if r.refactor() == nil && !slices.ContainsFunc(r.xb, func(v float64) bool { return v < -tol }) {
+		r.feasible = true
+		return true
+	}
+	r.basis = own
+	return false
 }
 
 // costOf returns the objective coefficient of column ci under the phase-1
@@ -456,13 +539,15 @@ const refactorEvery = 128
 // Bland's rule over the fixed column order; artificials never enter.
 func (r *Revised) iterate(phase1 bool, sol *Solution) (Status, error) {
 	n := r.numCols()
-	limit := maxPivots(r.m, n)
+	m := r.m
+	limit := maxPivots(m, n)
+	r.computeY(phase1)
 	for count := 0; ; count++ {
 		if count > limit {
 			return 0, fmt.Errorf("%w: pivot limit %d exceeded", ErrNumerical, limit)
 		}
-		r.computeY(phase1)
 		enter := -1
+		var rcEnter float64
 		for ci := 0; ci < n; ci++ {
 			if r.inBasis[ci] || r.kinds[ci] == kindArtificial {
 				continue
@@ -473,7 +558,7 @@ func (r *Revised) iterate(phase1 bool, sol *Solution) (Status, error) {
 				rc -= r.y[ri] * val[k]
 			}
 			if rc < -tol {
-				enter = ci
+				enter, rcEnter = ci, rc
 				break
 			}
 		}
@@ -492,6 +577,16 @@ func (r *Revised) iterate(phase1 bool, sol *Solution) (Status, error) {
 			if err := r.refactor(); err != nil {
 				return 0, err
 			}
+			r.computeY(phase1)
+		} else {
+			// The entering column's reduced cost drops to zero and every
+			// other basic column's stays zero: y += rc_enter · B⁻¹[leave].
+			for j, v := range r.binv[leave*m : (leave+1)*m] {
+				r.y[j] += rcEnter * v
+			}
+		}
+		if r.afterPivot != nil {
+			r.afterPivot(phase1)
 		}
 	}
 }
@@ -531,9 +626,9 @@ func (r *Revised) driveOutArtificials() {
 }
 
 // Solve optimizes the program over the columns added so far and returns a
-// basic solution with duals. The first call runs two-phase simplex; later
-// calls (after AddColumn) warm-start from the current basis and only run
-// phase 2.
+// basic solution with duals. The first call runs two-phase simplex, or
+// only phase 2 from an installed start basis (SetStartBasis); later calls
+// (after AddColumn) warm-start from the current basis and only run phase 2.
 func (r *Revised) Solve() (*Solution, error) {
 	sol := &Solution{}
 	if err := r.SolveInto(sol); err != nil {

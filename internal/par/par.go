@@ -18,11 +18,20 @@ import (
 // fn(i) must touch only state owned by index i (or read-only shared
 // state); that is what makes the results independent of workers.
 func ForEach(n, workers int, fn func(i int) error) error {
+	return ForEachWorker(n, workers, func(_, i int) error { return fn(i) })
+}
+
+// ForEachWorker is ForEach that also tells fn which worker runs index i:
+// w is in [0, min(workers, n)), and w = 0 when the calls run serially.
+// One worker runs its indices one at a time, so state indexed by w
+// (scratch buffers, per-worker solvers) needs no locking. Scheduling and
+// the error rule are ForEach's.
+func ForEachWorker(n, workers int, fn func(w, i int) error) error {
 	workers = min(workers, n)
 	errs := make([]error, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
+			errs[i] = fn(0, i)
 		}
 	} else {
 		var next atomic.Int64
@@ -36,7 +45,7 @@ func ForEach(n, workers int, fn func(i int) error) error {
 					if i >= n {
 						return
 					}
-					errs[i] = fn(i)
+					errs[i] = fn(w, i)
 				}
 			}()
 		}
