@@ -21,10 +21,11 @@ vet:
 
 # The online scheduler, fault harness, fleet router, placement service,
 # the placementd daemon's checkpoint wiring and the release package (its
-# Solver pool is hit concurrently from RunGrid workers;
-# TestSolverConcurrent fans out goroutines) under the race detector. The
-# experiments tests exercise E13/E14/E15 with their default fan-outs, the
-# fleet tests drive distinct tenant lanes from concurrent goroutines
+# Solver and BoundCache are shared by RunGrid workers;
+# TestSolverConcurrent and TestBoundCacheConcurrent fan out goroutines)
+# under the race detector. The experiments tests exercise E13/E14/E15
+# with their default fan-outs and RunGrid at several widths, the fleet
+# tests drive distinct tenant lanes from concurrent goroutines
 # (TestTenantLanesDisjoint), the service tests hammer fleet-wide reads
 # against per-tenant submissions across connections
 # (TestServiceLoadsSubmitRace), and the placementd tests run the periodic
@@ -57,23 +58,20 @@ bench-record:
 
 # Property-based fuzzing: the skyline hot path, the online scheduler's
 # submit/complete state machine, snapshot/restore replay fidelity, the
-# batched-submission equivalence contract, the column pool's
-# pooled-vs-fresh height equivalence across interleaved width sets, and
-# the placement-service wire codec (decoders never panic on arbitrary
-# bytes; whatever decodes re-encodes canonically), the parallel,
-# exactly sized checkpoint encoder (byte-identical to a plain append
-# encoder for arbitrary snapshot contents and worker counts), and the
-# revised simplex's start basis (an installed start reaches the no-start
-# optimum without phase 1; a dropped one gives the no-start result bit for
-# bit; the incrementally updated duals match a fresh c_B·B⁻¹ after every
-# pivot).
-# (go test accepts one -fuzz pattern per invocation, hence eight runs.)
+# batched-submission equivalence contract, the placement-service wire
+# codec (decoders never panic on arbitrary bytes; whatever decodes
+# re-encodes canonically), the parallel, exactly sized checkpoint encoder
+# (byte-identical to a plain append encoder for arbitrary snapshot
+# contents and worker counts), and the revised simplex's start basis (an
+# installed start reaches the no-start optimum without phase 1; a dropped
+# one gives the no-start result bit for bit; the incrementally updated
+# duals match a fresh c_B·B⁻¹ after every pivot).
+# (go test accepts one -fuzz pattern per invocation, hence seven runs.)
 fuzz:
 	$(GO) test ./internal/geom -fuzz FuzzSkylinePlace -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitComplete -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSnapshotRestore -fuzztime 30s
 	$(GO) test ./internal/fpga -fuzz FuzzSubmitBatch -fuzztime 30s
-	$(GO) test ./internal/core/release -fuzz FuzzSolverPool -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzServiceCodec -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzCheckpointEncode -fuzztime 30s
 	$(GO) test ./internal/lp -fuzz FuzzRevisedStartBasis -fuzztime 30s
@@ -81,9 +79,7 @@ fuzz:
 # The parallel engines' determinism contracts: experiment tables must be
 # byte-identical regardless of the trial-pool width (-parallel), the DC
 # recursion's worker count (-dc-workers), the configuration-LP pricing
-# fan-out (-cg-workers), the cross-solve column pool (-cg-pool on vs off
-# — a pooled solve still reaches the LP optimum, so the fixed-precision
-# tables cannot move), E13's per-policy simulation fan-out
+# fan-out (-cg-workers), E13's per-policy simulation fan-out
 # (-churn-workers), E14's per-admission-policy fan-out (-admission) and
 # E15's fleet shard-execution fan-out (-fleet-workers); the fleet load
 # harness must stream 1M tasks across 64 shards byte-identically at
@@ -107,10 +103,8 @@ determinism:
 	$$dir/experiments -parallel 1 -dc-workers 1 -cg-workers 1 -churn-workers 1 -admission 1 -fleet-workers 1 > $$dir/tables-serial.txt && \
 	$$dir/experiments -parallel 8 -dc-workers 8 -cg-workers 8 -churn-workers 3 -admission 3 -fleet-workers 8 > $$dir/tables-par.txt && \
 	$$dir/experiments -parallel 1 -dc-workers 8 -cg-workers 8 -churn-workers 3 -admission 3 -fleet-workers 8 > $$dir/tables-dcpar.txt && \
-	$$dir/experiments -parallel 8 -dc-workers 8 -cg-workers 8 -churn-workers 3 -admission 3 -fleet-workers 8 -cg-pool=false > $$dir/tables-poolless.txt && \
 	cmp $$dir/tables-serial.txt $$dir/tables-par.txt && \
 	cmp $$dir/tables-serial.txt $$dir/tables-dcpar.txt && \
-	cmp $$dir/tables-serial.txt $$dir/tables-poolless.txt && \
 	$(GO) build -o $$dir/fleetload ./cmd/fleetload && \
 	$$dir/fleetload -n 1000000 -shards 64 -route rr -fleet-workers 1 > $$dir/fleet-rr-serial.txt && \
 	$$dir/fleetload -n 1000000 -shards 64 -route rr -fleet-workers 8 > $$dir/fleet-rr-par.txt && \

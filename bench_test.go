@@ -219,40 +219,12 @@ func BenchmarkE7CG(b *testing.B) {
 	}
 }
 
-// BenchmarkE7CGPooled solves the identical five-instance grid as
-// BenchmarkE7CG through one long-lived release.Solver whose pools were
-// warmed by a single untimed pass, so the pair measures exactly what the
-// cross-solve column pool buys on grid-shaped repeated solves.
-func BenchmarkE7CGPooled(b *testing.B) {
-	const seedE7 = 0xAB1<<8 | 0xE7
-	Ks := []int{2, 3, 4, 5, 6}
-	ins := make([]*Instance, len(Ks))
-	for i, K := range Ks {
-		rng := rand.New(rand.NewSource(seedE7 ^ int64(i)))
-		ins[i] = workload.FPGA(rng, 24, K, 3)
-	}
-	s := release.NewSolver(release.CGOptions{})
-	for _, in := range ins {
-		if _, _, err := s.Solve(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range ins {
-			if _, _, err := s.Solve(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkSolverWarmFPGA40 mirrors the release half of the perfbench
-// solve workload: one op builds a fresh release.Solver, warms its column
-// pool with one FPGA(40, K, 3) instance per K in {4, 5, 6}, then solves 96
-// further such instances (32 per K, interleaved) through the warm pools.
-// The ns/solve metric is the op time over all 99 solves.
+// solve workload: one op builds a fresh release.Solver, solves one
+// FPGA(40, K, 3) instance per K in {4, 5, 6} (what the workload times as
+// its set-up), then 96 further such instances (32 per K, interleaved). Every
+// solve starts cold; the ns/solve metric is the op time over all 99
+// solves.
 func BenchmarkSolverWarmFPGA40(b *testing.B) {
 	Ks := []int{4, 5, 6}
 	rng := rand.New(rand.NewSource(11))
@@ -301,7 +273,7 @@ func boundServerStream() []*Instance {
 }
 
 // BenchmarkBoundServerFresh answers every request of the stream with a
-// from-scratch SolveCG — the pre-pool baseline a bound service would pay.
+// from-scratch SolveCG — what a bound service without a memo would pay.
 func BenchmarkBoundServerFresh(b *testing.B) {
 	reqs := boundServerStream()
 	b.ReportAllocs()
@@ -316,8 +288,8 @@ func BenchmarkBoundServerFresh(b *testing.B) {
 }
 
 // BenchmarkBoundServerReplay serves the identical stream through a fresh
-// BoundCache per iteration: repeats hit the answer cache, and the distinct
-// instances after the first warm-start from the shared column pool.
+// BoundCache per iteration: each distinct instance is solved once by
+// SolveCG and its five repeats hit the answer cache.
 func BenchmarkBoundServerReplay(b *testing.B) {
 	reqs := boundServerStream()
 	b.ReportAllocs()
@@ -331,55 +303,6 @@ func BenchmarkBoundServerReplay(b *testing.B) {
 		}
 	}
 }
-
-// benchAddColumns appends one 512-column batch to a fresh revised-simplex
-// master via the bulk AddColumns path or a loop of AddColumn calls — the
-// pool-seeding hot path, where bulk grows every arena exactly once.
-func benchAddColumns(b *testing.B, bulk bool) {
-	const m, n, nnzPer = 64, 512, 8
-	ops := make([]lp.Relation, m)
-	rhs := make([]float64, m)
-	for i := range ops {
-		ops[i] = lp.GE
-		rhs[i] = 1
-	}
-	rng := rand.New(rand.NewSource(31))
-	costs := make([]float64, n)
-	starts := make([]int32, n+1)
-	idx := make([]int32, 0, n*nnzPer)
-	val := make([]float64, 0, n*nnzPer)
-	for c := 0; c < n; c++ {
-		costs[c] = rng.Float64()
-		r := rng.Intn(m - nnzPer)
-		for k := 0; k < nnzPer; k++ {
-			idx = append(idx, int32(r+k))
-			val = append(val, 0.1+rng.Float64())
-		}
-		starts[c+1] = int32(len(idx))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := lp.NewRevised(ops, rhs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bulk {
-			if _, err := s.AddColumns(costs, starts, idx, val); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			for c := 0; c < n; c++ {
-				if _, err := s.AddColumn(costs[c], idx[starts[c]:starts[c+1]], val[starts[c]:starts[c+1]]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkAddColumnsBulk512(b *testing.B)   { benchAddColumns(b, true) }
-func BenchmarkAddColumnsSingle512(b *testing.B) { benchAddColumns(b, false) }
 
 func BenchmarkSimplexDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))

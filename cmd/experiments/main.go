@@ -3,7 +3,9 @@
 // figures — see DESIGN.md for the index).
 //
 // Trials fan out across a worker pool; tables are byte-identical for every
-// -parallel value, so the flag only trades wall-clock time for cores.
+// value of -parallel and of the engine fan-outs (-dc-workers, -cg-workers,
+// -churn-workers, -admission, -fleet-workers), so these flags only trade
+// wall-clock time for cores.
 //
 // Usage:
 //
@@ -36,10 +38,6 @@ func main() {
 		"fan-out for E14's per-trial admission-policy simulations (0 = one per policy; results are identical for any value)")
 	fleetWorkers := flag.Int("fleet-workers", 0,
 		"per-shard execution fan-out for E15's fleet router (0 = GOMAXPROCS; results are identical for any value)")
-	cgPool := flag.Bool("cg-pool", true,
-		"warm-start configuration-LP solves from the cross-solve column pool (tables are identical either way)")
-	statsOut := flag.Bool("stats", false,
-		"print a cache+pool summary line after each CG-backed table (diagnostic; excluded from determinism diffs)")
 	flag.Parse()
 	if *parallel < 1 {
 		fmt.Fprintln(os.Stderr, "experiments: -parallel must be >= 1")
@@ -71,8 +69,6 @@ func main() {
 	experiments.ChurnWorkers = *churnWorkers
 	experiments.AdmissionWorkers = *admissionWorkers
 	experiments.FleetWorkers = *fleetWorkers
-	experiments.CGPool = *cgPool
-	experiments.StatsEnabled = *statsOut
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)

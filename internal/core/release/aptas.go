@@ -107,7 +107,7 @@ func Pack(in *geom.Instance, opts Options) (*geom.Packing, *Report, error) {
 	} else {
 		var st *CGStats
 		var err error
-		fs, st, err = solveCG(reduced, CGOptions{Workers: opts.CGWorkers}, nil, true)
+		fs, st, err = solveCG(reduced, CGOptions{Workers: opts.CGWorkers}, true)
 		if err != nil {
 			return nil, nil, err
 		}

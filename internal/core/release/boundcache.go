@@ -12,16 +12,13 @@ import (
 // fingerprint, deduplicating the repeated configuration-LP solves the
 // experiment grids issue: an ablation that sweeps a parameter (E6's ε,
 // E8's base instance across R rows) re-solves the identical instance once
-// per grid cell without it. Misses solve through an owned Solver, so the
-// cache memoizes the *work* of column generation (the cross-solve column
-// pool, shared across distinct instances over the same width set) as well
-// as the *answers*; errors are cached alongside heights, so a failing
-// instance pays its diagnosis once. The cache is safe for concurrent use
-// from RunGrid workers, and because a pooled solve still runs column
-// generation to optimality (see Solver), memoization never changes a
-// result beyond LP round-off — only how often it is computed.
+// per grid cell without it. A miss runs SolveCG, so every height the cache
+// returns is bit-identical to SolveCG's, however many goroutines share
+// it; errors are cached alongside heights, so a failing instance pays its
+// diagnosis once. The cache is safe for concurrent use from RunGrid
+// workers.
 type BoundCache struct {
-	solver *Solver
+	opts CGOptions
 
 	mu     sync.Mutex
 	bounds map[string]float64
@@ -31,11 +28,10 @@ type BoundCache struct {
 }
 
 // NewBoundCache returns an empty cache whose solves use the given
-// column-generation options (set opts.DisablePool to memoize answers
-// only, reproducing the poolless reference path on every miss).
+// column-generation options.
 func NewBoundCache(opts CGOptions) *BoundCache {
 	return &BoundCache{
-		solver: NewSolver(opts),
+		opts:   opts,
 		bounds: make(map[string]float64),
 		errs:   make(map[string]error),
 	}
@@ -66,9 +62,9 @@ func fingerprint(in *geom.Instance) string {
 	return string(b)
 }
 
-// FractionalLowerBound returns OPTf of the instance, solving via the owned
-// Solver on a miss and replaying the memoized height — or the memoized
-// error — on a hit.
+// FractionalLowerBound returns OPTf of the instance, running SolveCG on a
+// miss and replaying the memoized height — or the memoized error — on a
+// hit.
 func (c *BoundCache) FractionalLowerBound(in *geom.Instance) (float64, error) {
 	key := fingerprint(in)
 	c.mu.Lock()
@@ -84,7 +80,7 @@ func (c *BoundCache) FractionalLowerBound(in *geom.Instance) (float64, error) {
 	}
 	c.misses++
 	c.mu.Unlock()
-	fs, _, err := c.solver.Solve(in)
+	fs, _, err := SolveCG(in, c.opts)
 	if err != nil {
 		c.mu.Lock()
 		c.errs[key] = err
@@ -102,9 +98,4 @@ func (c *BoundCache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// SolverStats reports the pool activity of the cache's owned Solver.
-func (c *BoundCache) SolverStats() SolverStats {
-	return c.solver.Stats()
 }

@@ -53,7 +53,7 @@ import (
 // below -cgPriceTol: the master optimum is then optimal for the full LP,
 // matching SolveModel's height to within numerical tolerance.
 
-// CGOptions configures SolveCG and Solver.
+// CGOptions configures SolveCG, and Solver and BoundCache through it.
 type CGOptions struct {
 	// Workers is the pricing fan-out over phases (0 = GOMAXPROCS). Results
 	// are byte-identical for every value >= 1.
@@ -62,12 +62,6 @@ type CGOptions struct {
 	// round adds at least one new configuration, so the cap is only hit on
 	// numerically pathological inputs.
 	MaxRounds int
-	// DisablePool turns off cross-solve column pooling in the engines that
-	// carry one (Solver, and BoundCache through it), making every solve run
-	// from the singleton start like SolveCG — the reference oracle path the
-	// -cg-pool=false experiment flag pins tables against. One-shot SolveCG
-	// calls never pool and ignore it.
-	DisablePool bool
 }
 
 // CGStats reports the size of the column-generation run.
@@ -76,14 +70,6 @@ type CGStats struct {
 	Columns int // structural columns in the final master
 	Rows    int // master rows
 	Pivots  int // simplex pivots accumulated across all rounds
-	// PooledColumns counts the configurations bulk-loaded from a Solver's
-	// persistent pool into this solve's restricted master (each spans
-	// NumPhases master columns); 0 on poolless solves.
-	PooledColumns int
-	// PoolHits counts the pooled configurations that carry nonzero height
-	// in the final optimum — the warm-start columns the answer actually
-	// stands on.
-	PoolHits int
 }
 
 // cgPriceTol is the reduced-cost threshold below which a priced column is
@@ -103,19 +89,18 @@ const maxPriceUnits = 1 << 12
 // is no eagerly assembled program). The solution's Height matches
 // SolveModel on the same instance to within numerical tolerance, with a
 // basic optimum, so ToIntegral and the Lemma 3.4 occurrence bound apply
-// unchanged. SolveCG is the poolless reference path; Solver runs the same
-// engine warm-started from its persistent cross-solve column pool.
+// unchanged. Every solve starts cold: Solver and BoundCache run this same
+// path, so their heights are SolveCG's bit for bit.
 func SolveCG(in *geom.Instance, opts CGOptions) (*FractionalSolution, *CGStats, error) {
-	return solveCG(in, opts, nil, false)
+	return solveCG(in, opts, false)
 }
 
-// solveCG is the column-generation core: build the restricted master, start
-// from the singleton configurations, bulk-load the seed configurations (a
-// Solver's pool snapshot; nil for poolless solves), then alternate master
-// re-optimization with knapsack pricing until no column improves. The
-// first master solve starts from the singleton basis (singletonStart)
-// unless twoPhase asks for the simplex's artificial two-phase start.
-func solveCG(in *geom.Instance, opts CGOptions, seed []Config, twoPhase bool) (*FractionalSolution, *CGStats, error) {
+// solveCG is the column-generation core: build the restricted master over
+// the singleton configurations, then alternate master re-optimization with
+// knapsack pricing until no column improves. The first master solve starts
+// from the singleton basis (singletonStart) unless twoPhase asks for the
+// simplex's artificial two-phase start, which Pack keeps.
+func solveCG(in *geom.Instance, opts CGOptions, twoPhase bool) (*FractionalSolution, *CGStats, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -225,39 +210,19 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, twoPhase bool) (*
 		single[i] = len(singles)
 		singles = append(singles, counts)
 	}
-	// Seeds dedup against the singletons (pool entries are already
-	// mutually distinct).
-	var accepted []Config
-	for _, c := range seed {
-		if !slices.ContainsFunc(singles, func(s []int) bool { return slices.Equal(s, c.Counts) }) {
-			accepted = append(accepted, c)
-		}
-	}
-	// Arena hints, exact for the start: the singletons, the seeds and the
-	// logical columns (a slack per packing row, a surplus and an
-	// artificial per covering row). Generated columns use append growth:
-	// a warm solve mostly generates none, and on the solve benchmark's
-	// instances (41 phases) any fixed headroom cost more allocation than
-	// the regrowth it saved.
+	// Arena hints, exact for the start: the singletons and the logical
+	// columns (a slack per packing row, a surplus and an artificial per
+	// covering row). Generated columns use append growth: on the solve
+	// benchmark's instances (41 phases) any fixed headroom cost more
+	// allocation than the regrowth it saved.
 	nnz := 2*len(ops) - R
 	for _, c := range singles {
 		nnz += st.configNNZ(c)
 	}
-	seedNNZ := 0
-	for _, c := range accepted {
-		seedNNZ += st.configNNZ(c.Counts)
-	}
-	nnz += seedNNZ
-	nCfg := len(singles) + len(accepted)
-	solver.Reserve(nCfg*phases+2*len(ops)-R, nnz)
-	m.Configs = make([]Config, 0, nCfg)
+	solver.Reserve(len(singles)*phases+2*len(ops)-R, nnz)
+	m.Configs = make([]Config, 0, len(singles))
 	for _, counts := range singles {
 		if err := st.addConfig(counts); err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(accepted) > 0 {
-		if err := st.seedConfigs(accepted, seedNNZ); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -321,17 +286,6 @@ func solveCG(in *geom.Instance, opts CGOptions, seed []Config, twoPhase bool) (*
 		Rows:    solver.NumRows(),
 		Pivots:  solver.Iterations(),
 	}
-	if st.seedCount > 0 {
-		stats.PooledColumns = st.seedCount
-		for q := st.seedStart; q < st.seedStart+st.seedCount; q++ {
-			for _, v := range fs.X[q] {
-				if v > 0 {
-					stats.PoolHits++
-					break
-				}
-			}
-		}
-	}
 	return fs, stats, nil
 }
 
@@ -352,8 +306,6 @@ type cgSolve struct {
 	countsArena []int   // slab the Config.Counts slices are carved from
 	colIdx      []int32 // column assembly scratch
 	colVal      []float64
-
-	seedStart, seedCount int // pool seed span inside m.Configs
 }
 
 // carveCounts returns a zeroed W-slot counts slice from the arena.
@@ -441,51 +393,6 @@ func (st *cgSolve) singletonStart(single []int) []int {
 		}
 	}
 	return start
-}
-
-// seedConfigs bulk-loads the accepted part of a Solver's pool snapshot
-// (deduped against the singletons) into the restricted master; nnz is
-// their configNNZ total. Every seed is feasible here by the pool-key
-// contract (same strip width, same width set), so its phase columns load
-// unchanged; seeds append in pool-insertion order, keeping the master
-// column order — and therefore the simplex path — a pure function of the
-// solve sequence. The Counts slices stay shared with the pool read-only.
-// All columns assemble into one lp.Revised.AddColumns batch so the arenas
-// grow at most once.
-func (st *cgSolve) seedConfigs(accepted []Config, nnz int) error {
-	st.seedStart = len(st.m.Configs)
-	st.seedCount = len(accepted)
-	nCols := st.seedCount * st.phases
-	costs := make([]float64, 0, nCols)
-	starts := make([]int32, 1, nCols+1)
-	idx := make([]int32, 0, nnz)
-	val := make([]float64, 0, nnz)
-	for _, c := range accepted {
-		st.m.Configs = append(st.m.Configs, c)
-		for j := 0; j < st.phases; j++ {
-			if j < st.R {
-				idx = append(idx, int32(j))
-				val = append(val, 1)
-			}
-			for k := 0; k <= j; k++ {
-				row := st.covRow[k]
-				for i, cnt := range c.Counts {
-					if cnt > 0 && row[i] >= 0 {
-						idx = append(idx, row[i])
-						val = append(val, float64(cnt))
-					}
-				}
-			}
-			cost := 0.0
-			if j == st.R {
-				cost = 1
-			}
-			costs = append(costs, cost)
-			starts = append(starts, int32(len(idx)))
-		}
-	}
-	_, err := st.solver.AddColumns(costs, starts, idx, val)
-	return err
 }
 
 // priceAndAdd runs one pricing round over all phases on the worker pool

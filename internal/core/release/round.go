@@ -24,38 +24,26 @@
 // the master duals with a bounded-knapsack dynamic program per phase, so
 // configurations are generated on demand and never enumerated.
 //
-// # Cross-solve column pool
+// # One solve path
 //
-// A configuration is a multiset of widths fitting the strip, so it is
-// feasible for every instance sharing the (strip width, distinct width
-// set) pair — the experiment grids and any long-running bound service
-// solve hundreds of such siblings. Solver (solver.go) exploits this: it
-// keeps a per-width-set pool (pool.go) of every configuration its solves
-// have generated, bulk-loads the pool into each new solve's restricted
-// master (one lp.Revised.AddColumns batch, after the singletons, in
-// pool-insertion order, deduped by packed multiplicity vector), and
-// appends what the solve generates back. Warm solves converge in 1–2
-// pricing rounds instead of 3–8, but the seeded columns enlarge the
-// master and its simplex makes more pivots, so the pool is no speedup by
-// itself on most measured traffic (see Solver).
-// BoundCache owns a Solver, so it memoizes the work of column generation
-// across distinct instances as well as the answers to repeated ones, and
-// caches errors so a failing instance is diagnosed once.
+// SolveCG starts every master cold, from the singleton configurations
+// and their Gilmore–Gomory basis. Solver (solver.go) is a thin front end
+// that counts its solves, and BoundCache memoizes heights and errors by
+// instance fingerprint and runs SolveCG on a miss. No columns cross from
+// one solve into the next: seeding a master with the configurations of
+// earlier solves over the same width set cuts pricing rounds but enlarges
+// the master, and measured slower on every instance family tried except
+// repeated E7-sized solves, where it broke even.
 //
 // # Determinism contract
 //
-// A pooled solve still runs column generation to optimality, so its
-// height is the configuration LP's optimum regardless of which columns
-// were seeded: the pool affects only the simplex path, perturbing results
-// by LP round-off — within 1e-9 of the poolless SolveCG height (property-
-// and fuzz-tested in solver_test.go). Given a fixed solve sequence, the
-// pool state and every result are fully reproducible; under concurrent
-// use (RunGrid workers sharing a BoundCache) the interleaving may vary
-// which pool snapshot a solve sees, moving results only within that same
-// 1e-9 envelope, which the experiment tables' fixed-precision rendering
-// absorbs — `make determinism` enforces byte-identity across worker
-// counts and pool on/off end-to-end. One-shot SolveCG (and any Solver
-// with CGOptions.DisablePool) stays the poolless reference oracle.
+// SolveCG is a pure function of the instance and MaxRounds: pricing is
+// deterministic for any Workers value (see cg.go), so the configurations,
+// the solution and the height are the same on every call. Solver.Solve and
+// BoundCache.FractionalLowerBound heights are therefore SolveCG's bit for
+// bit, serially and under concurrent use from RunGrid workers, as
+// solver_test.go checks. Pack alone starts its master from the simplex's
+// two-phase start (see cg.go); its packings are pinned by TestPackGolden.
 package release
 
 import (
@@ -89,17 +77,13 @@ func RoundReleases(in *geom.Instance, R int) (*geom.Instance, float64, error) {
 	return out, delta, nil
 }
 
-// classKey groups rectangles by identical release time (with tolerance).
-func classKey(r float64) float64 { return r }
-
 // classes partitions rectangle indices by release time, returning the
 // distinct release values in ascending order and the member indices per
 // value.
 func classes(in *geom.Instance) ([]float64, [][]int) {
 	byRel := make(map[float64][]int)
 	for i, r := range in.Rects {
-		k := classKey(r.Release)
-		byRel[k] = append(byRel[k], i)
+		byRel[r.Release] = append(byRel[r.Release], i)
 	}
 	vals := make([]float64, 0, len(byRel))
 	for v := range byRel {

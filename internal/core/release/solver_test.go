@@ -2,7 +2,6 @@ package release
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -11,164 +10,64 @@ import (
 	"strippack/internal/geom"
 )
 
-// fullWidthInstance builds an FPGA-style instance guaranteed to contain
-// every width 1/K..K/K, so any two share the pool key and warm starts are
-// exercised deterministically.
-func fullWidthInstance(rng *rand.Rand, n, K int, maxRelease float64) *geom.Instance {
-	rects := make([]geom.Rect, 0, n)
-	for i := 1; i <= K; i++ {
-		rects = append(rects, geom.Rect{
-			W:       float64(i) / float64(K),
-			H:       0.1 + 0.9*rng.Float64(),
-			Release: maxRelease * rng.Float64(),
-		})
-	}
-	for len(rects) < n {
-		rects = append(rects, geom.Rect{
-			W:       float64(1+rng.Intn(K)) / float64(K),
-			H:       0.1 + 0.9*rng.Float64(),
-			Release: maxRelease * rng.Float64(),
-		})
-	}
-	return geom.NewInstance(1, rects)
-}
-
-// TestSolverEmptyPoolIdenticalToSolveCG: a fresh Solver's first solve of a
-// width set sees an empty pool and must reproduce SolveCG byte for byte —
-// same configurations, same solution matrix, same stats.
-func TestSolverEmptyPoolIdenticalToSolveCG(t *testing.T) {
-	rng := rand.New(rand.NewSource(461))
-	for trial := 0; trial < 10; trial++ {
-		var in *geom.Instance
-		if trial%2 == 0 {
-			in = fpgaInstance(rng, 5+rng.Intn(10), 3, 2*rng.Float64())
+// mixedInstances draws n instances alternating FPGA-style and continuous
+// widths, with K varying so that width sets both repeat and differ.
+func mixedInstances(rng *rand.Rand, n int) []*geom.Instance {
+	ins := make([]*geom.Instance, n)
+	for i := range ins {
+		K := 2 + i%3
+		if i%2 == 0 {
+			ins[i] = fpgaInstance(rng, 5+rng.Intn(8), K, 2*rng.Float64())
 		} else {
-			in = contInstance(rng, 4+rng.Intn(6), 3, 1.5*rng.Float64())
-		}
-		want, wantSt, err := SolveCG(in, CGOptions{})
-		if err != nil {
-			t.Fatalf("trial %d: SolveCG: %v", trial, err)
-		}
-		got, gotSt, err := NewSolver(CGOptions{}).Solve(in)
-		if err != nil {
-			t.Fatalf("trial %d: Solver.Solve: %v", trial, err)
-		}
-		if !reflect.DeepEqual(want.Model.Configs, got.Model.Configs) ||
-			!reflect.DeepEqual(want.X, got.X) ||
-			want.Height != got.Height ||
-			!reflect.DeepEqual(wantSt, gotSt) {
-			t.Fatalf("trial %d: empty-pool solve diverges from SolveCG: %+v vs %+v",
-				trial, wantSt, gotSt)
+			ins[i] = contInstance(rng, 4+rng.Intn(6), K, 1.5*rng.Float64())
 		}
 	}
+	return ins
 }
 
-// TestSolverPooledMatchesFresh is the pool equivalence property test:
-// across randomized solve orders and repeated passes over a mixed batch of
-// instances (several shared width sets, some unique), every pooled height
-// matches the poolless SolveCG height within 1e-9.
-func TestSolverPooledMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(463))
-	for trial := 0; trial < 6; trial++ {
-		var ins []*geom.Instance
-		for b := 0; b < 9; b++ {
-			switch b % 3 {
-			case 0:
-				ins = append(ins, fullWidthInstance(rng, 5+rng.Intn(8), 3, 2*rng.Float64()))
-			case 1:
-				ins = append(ins, fullWidthInstance(rng, 5+rng.Intn(8), 4, 2*rng.Float64()))
-			default:
-				ins = append(ins, contInstance(rng, 4+rng.Intn(6), 3, 1.5*rng.Float64()))
-			}
+// solveCGHeights returns SolveCG's height for every instance.
+func solveCGHeights(t *testing.T, ins []*geom.Instance) []float64 {
+	t.Helper()
+	want := make([]float64, len(ins))
+	for i, in := range ins {
+		fs, _, err := SolveCG(in, CGOptions{})
+		if err != nil {
+			t.Fatalf("instance %d: SolveCG: %v", i, err)
 		}
-		fresh := make([]float64, len(ins))
-		for i, in := range ins {
-			fs, _, err := SolveCG(in, CGOptions{})
-			if err != nil {
-				t.Fatalf("trial %d: fresh solve %d: %v", trial, i, err)
-			}
-			fresh[i] = fs.Height
-		}
-		s := NewSolver(CGOptions{})
-		for pass := 0; pass < 2; pass++ {
-			for _, i := range rng.Perm(len(ins)) {
-				fs, _, err := s.Solve(ins[i])
-				if err != nil {
-					t.Fatalf("trial %d pass %d: pooled solve %d: %v", trial, pass, i, err)
-				}
-				if math.Abs(fs.Height-fresh[i]) > 1e-9 {
-					t.Fatalf("trial %d pass %d: pooled height %g vs fresh %g (Δ=%g)",
-						trial, pass, fs.Height, fresh[i], fs.Height-fresh[i])
-				}
-			}
-		}
+		want[i] = fs.Height
 	}
+	return want
 }
 
-// TestSolverPoolReuse: the second solve over a shared width set bulk-loads
-// the first solve's configurations and converges in no more rounds than a
-// cold solve.
-func TestSolverPoolReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(467))
+// TestSolverIdenticalToSolveCG: every Solve, including repeats of width
+// sets and of whole instances through one Solver, reproduces SolveCG byte
+// for byte — same configurations, same solution matrix, same height,
+// same stats.
+func TestSolverIdenticalToSolveCG(t *testing.T) {
+	rng := rand.New(rand.NewSource(461))
+	ins := mixedInstances(rng, 10)
 	s := NewSolver(CGOptions{})
-	a := fullWidthInstance(rng, 12, 4, 2)
-	b := fullWidthInstance(rng, 12, 4, 2)
-	_, stA, err := s.Solve(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stA.PooledColumns != 0 || stA.PoolHits != 0 {
-		t.Fatalf("cold solve reports pool activity: %+v", stA)
-	}
-	_, coldB, err := SolveCG(b, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsB, stB, err := s.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stB.PooledColumns == 0 {
-		t.Fatalf("warm solve loaded no pooled configurations: %+v", stB)
-	}
-	if stB.Rounds > coldB.Rounds {
-		t.Fatalf("warm solve took %d rounds, cold %d", stB.Rounds, coldB.Rounds)
-	}
-	if stB.PoolHits > stB.PooledColumns {
-		t.Fatalf("PoolHits %d exceeds PooledColumns %d", stB.PoolHits, stB.PooledColumns)
-	}
-	coldFs, _, err := SolveCG(b, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fsB.Height-coldFs.Height) > 1e-9 {
-		t.Fatalf("warm height %g vs cold %g", fsB.Height, coldFs.Height)
-	}
-	st := s.Stats()
-	if st.Solves != 2 || st.WidthSets != 1 || st.PoolHits != 1 ||
-		st.PooledColumns != stB.PooledColumns || st.NewColumns == 0 {
-		t.Fatalf("solver stats %+v", st)
-	}
-}
-
-// TestSolverDisablePool: with the pool off every solve runs cold and no
-// pool state accumulates.
-func TestSolverDisablePool(t *testing.T) {
-	rng := rand.New(rand.NewSource(479))
-	s := NewSolver(CGOptions{DisablePool: true})
-	in := fullWidthInstance(rng, 10, 3, 2)
-	for i := 0; i < 2; i++ {
-		_, st, err := s.Solve(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.PooledColumns != 0 || st.PoolHits != 0 {
-			t.Fatalf("solve %d pooled with DisablePool: %+v", i, st)
+	for pass := 0; pass < 2; pass++ {
+		for i, in := range ins {
+			want, wantSt, err := SolveCG(in, CGOptions{})
+			if err != nil {
+				t.Fatalf("instance %d: SolveCG: %v", i, err)
+			}
+			got, gotSt, err := s.Solve(in)
+			if err != nil {
+				t.Fatalf("instance %d: Solver.Solve: %v", i, err)
+			}
+			if !reflect.DeepEqual(want.Model.Configs, got.Model.Configs) ||
+				!reflect.DeepEqual(want.X, got.X) ||
+				want.Height != got.Height ||
+				!reflect.DeepEqual(wantSt, gotSt) {
+				t.Fatalf("pass %d instance %d: Solver diverges from SolveCG: %+v vs %+v",
+					pass, i, wantSt, gotSt)
+			}
 		}
 	}
-	st := s.Stats()
-	if st.Solves != 2 || st.WidthSets != 0 || st.PooledColumns != 0 || st.NewColumns != 0 {
-		t.Fatalf("stats %+v", st)
+	if st := s.Stats(); st.Solves != 2*len(ins) || st.PoolHits != 0 {
+		t.Fatalf("stats %+v, want %d solves and no pool hits", st, 2*len(ins))
 	}
 }
 
@@ -188,40 +87,27 @@ func TestSolverValidation(t *testing.T) {
 	}
 }
 
-// TestSolverConcurrent hammers one Solver from many goroutines over a
-// mixed instance set (shared and distinct width sets) — the RunGrid shape
-// `make race` checks — and verifies every result stays within the 1e-9
-// envelope of the poolless reference.
-func TestSolverConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(487))
-	var ins []*geom.Instance
-	for b := 0; b < 6; b++ {
-		ins = append(ins, fullWidthInstance(rng, 6+rng.Intn(6), 2+b%3, 2*rng.Float64()))
-	}
-	fresh := make([]float64, len(ins))
-	for i, in := range ins {
-		fs, _, err := SolveCG(in, CGOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh[i] = fs.Height
-	}
-	s := NewSolver(CGOptions{Workers: 1})
+// hammer runs solve over every instance three times from each of eight
+// goroutines — the RunGrid shape `make race` checks — and requires every
+// height to equal want bit for bit.
+func hammer(t *testing.T, ins []*geom.Instance, want []float64, solve func(*geom.Instance) (float64, error)) {
+	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
-	for g := 0; g < 8; g++ {
+	for g := range errs {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				for i, in := range ins {
-					fs, _, err := s.Solve(in)
+				for k := range ins {
+					i := (k + g) % len(ins) // goroutines start on different instances
+					h, err := solve(ins[i])
 					if err != nil {
-						errs[g] = err
+						errs[g] = fmt.Errorf("instance %d: %v", i, err)
 						return
 					}
-					if math.Abs(fs.Height-fresh[i]) > 1e-9 {
-						errs[g] = fmt.Errorf("instance %d: pooled %g vs fresh %g", i, fs.Height, fresh[i])
+					if h != want[i] {
+						errs[g] = fmt.Errorf("instance %d: height %v, SolveCG %v", i, h, want[i])
 						return
 					}
 				}
@@ -234,8 +120,37 @@ func TestSolverConcurrent(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
+}
+
+// TestSolverConcurrent hammers one Solver from many goroutines over a
+// mixed instance set; every height is SolveCG's bit for bit.
+func TestSolverConcurrent(t *testing.T) {
+	ins := mixedInstances(rand.New(rand.NewSource(487)), 6)
+	want := solveCGHeights(t, ins)
+	s := NewSolver(CGOptions{Workers: 1})
+	hammer(t, ins, want, func(in *geom.Instance) (float64, error) {
+		fs, _, err := s.Solve(in)
+		if err != nil {
+			return 0, err
+		}
+		return fs.Height, nil
+	})
 	if st := s.Stats(); st.Solves != 8*3*len(ins) {
 		t.Fatalf("stats %+v, want %d solves", st, 8*3*len(ins))
+	}
+}
+
+// TestBoundCacheConcurrent: goroutines racing to miss on the same
+// instances all get SolveCG's height bit for bit, whichever of them
+// solved it and whichever replayed it.
+func TestBoundCacheConcurrent(t *testing.T) {
+	ins := mixedInstances(rand.New(rand.NewSource(491)), 6)
+	want := solveCGHeights(t, ins)
+	c := NewBoundCache(CGOptions{Workers: 1})
+	hammer(t, ins, want, c.FractionalLowerBound)
+	if hits, misses := c.Stats(); hits+misses != 8*3*len(ins) || misses < len(ins) {
+		t.Fatalf("hits=%d misses=%d over %d requests and %d instances",
+			hits, misses, 8*3*len(ins), len(ins))
 	}
 }
 
@@ -258,38 +173,4 @@ func TestBoundCacheCachesErrors(t *testing.T) {
 	if misses != 1 || hits != 2 {
 		t.Fatalf("hits=%d misses=%d, want 2/1", hits, misses)
 	}
-}
-
-// FuzzSolverPool interleaves solves over instances that share and differ
-// in width sets through one Solver and cross-checks every pooled height
-// against the poolless SolveCG oracle.
-func FuzzSolverPool(f *testing.F) {
-	f.Add(int64(1), uint8(0x35))
-	f.Add(int64(97), uint8(0xC2))
-	f.Add(int64(-4242), uint8(0x1F))
-	f.Fuzz(func(t *testing.T, seed int64, mix uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewSolver(CGOptions{})
-		for i := 0; i < 5; i++ {
-			K := 2 + int(mix>>(uint(i)%7)&3)%3 // 2..4, varies with i: width sets repeat and differ
-			var in *geom.Instance
-			if (mix>>uint(i))&1 == 0 {
-				in = fullWidthInstance(rng, 4+rng.Intn(6), K, 2*rng.Float64())
-			} else {
-				in = contInstance(rng, 3+rng.Intn(5), K, 1.5*rng.Float64())
-			}
-			want, _, err := SolveCG(in, CGOptions{})
-			if err != nil {
-				t.Fatalf("solve %d: fresh: %v", i, err)
-			}
-			got, _, err := s.Solve(in)
-			if err != nil {
-				t.Fatalf("solve %d: pooled: %v", i, err)
-			}
-			if math.Abs(got.Height-want.Height) > 1e-9 {
-				t.Fatalf("solve %d: pooled height %g vs fresh %g (Δ=%g)",
-					i, got.Height, want.Height, got.Height-want.Height)
-			}
-		}
-	})
 }

@@ -87,36 +87,10 @@ func dcOpts() *precedence.DCOptions {
 // determinism` pins it to 1 and 8 under the same byte-identical contract.
 var CGWorkers int
 
-// CGPool enables the cross-solve column pool on the BoundCaches the
-// CG-heavy experiments (E6/E8/E11/E12) solve through. cmd/experiments
-// exposes it as -cg-pool; `make determinism` diffs the tables with the
-// pool on and off — a pooled solve still reaches the LP optimum, so the
-// fixed-precision tables must be byte-identical either way (the Solver
-// determinism contract).
-var CGPool = true
-
-// StatsEnabled makes the CG-heavy experiments print a cache+pool summary
-// line after their table (cmd/experiments -stats). Off by default: the
-// counters include scheduling-independent totals only, but the line is
-// diagnostic, not part of the reproduced tables.
-var StatsEnabled bool
-
 // cgOpts returns column-generation options carrying the harness-wide
-// pricing worker count and pool switch.
+// pricing worker count.
 func cgOpts() release.CGOptions {
-	return release.CGOptions{Workers: CGWorkers, DisablePool: !CGPool}
-}
-
-// cacheSummary prints the diagnostic cache+pool line for an experiment's
-// BoundCache when -stats is on.
-func cacheSummary(w io.Writer, c *release.BoundCache) {
-	if !StatsEnabled {
-		return
-	}
-	hits, misses := c.Stats()
-	ps := c.SolverStats()
-	fmt.Fprintf(w, "cache: hits=%d misses=%d | pool: solves=%d width-sets=%d warm=%d seeded=%d new=%d\n",
-		hits, misses, ps.Solves, ps.WidthSets, ps.PoolHits, ps.PooledColumns, ps.NewColumns)
+	return release.CGOptions{Workers: CGWorkers}
 }
 
 // ChurnWorkers is the fan-out for E13's per-trial policy simulations (the
@@ -498,7 +472,6 @@ func E6(w io.Writer) error {
 			stats.Summarize(rs).Mean, add, occ/seeds)
 	}
 	t.Render(w)
-	cacheSummary(w, cache)
 	return nil
 }
 
@@ -602,7 +575,6 @@ func E8(w io.Writer) error {
 			stats.Summarize(g2).Max, 1+float64((R+1)*K)/float64(W))
 	}
 	t.Render(w)
-	cacheSummary(w, cache)
 	return nil
 }
 
@@ -733,10 +705,6 @@ func E11(w io.Writer) error {
 	type res struct {
 		rk, rn, rf, rb float64
 	}
-	// Every trial shares the four-width set, so the cache's column pool
-	// warm-starts all but the first fractional-bound solve even though the
-	// instances themselves never repeat.
-	cache := release.NewBoundCache(cgOpts())
 	rows, err := RunGrid(len(grid), seeds, seedE11, func(t Trial, rng *rand.Rand) (res, error) {
 		c := grid[t.Row]
 		rects := make([]geom.Rect, c.n)
@@ -754,7 +722,7 @@ func E11(w io.Writer) error {
 		if err := p.Validate(); err != nil {
 			return res{}, fmt.Errorf("E11 n=%d: %w", c.n, err)
 		}
-		optf, err := cache.FractionalLowerBound(in)
+		optf, err := release.FractionalLowerBound(in, cgOpts())
 		if err != nil {
 			return res{}, err
 		}
@@ -793,7 +761,6 @@ func E11(w io.Writer) error {
 			stats.Summarize(rf).Mean, stats.Summarize(rb).Mean)
 	}
 	t.Render(w)
-	cacheSummary(w, cache)
 	return nil
 }
 
@@ -815,9 +782,6 @@ func E12(w io.Writer) error {
 	type res struct {
 		on, off, ap float64
 	}
-	// The FPGA workload draws widths from the same K-unit grid in every
-	// trial, so the cache's column pool warm-starts across trials here too.
-	cache := release.NewBoundCache(cgOpts())
 	rows, err := RunGrid(len(grid), seeds, seedE12, func(t Trial, rng *rand.Rand) (res, error) {
 		c := grid[t.Row]
 		in := workload.FPGA(rng, c.n, K, c.span)
@@ -840,7 +804,7 @@ func E12(w io.Writer) error {
 		if err != nil {
 			return res{}, err
 		}
-		optf, err := cache.FractionalLowerBound(in)
+		optf, err := release.FractionalLowerBound(in, cgOpts())
 		if err != nil {
 			return res{}, err
 		}
@@ -865,7 +829,6 @@ func E12(w io.Writer) error {
 			stats.Summarize(rap).Mean)
 	}
 	t.Render(w)
-	cacheSummary(w, cache)
 	return nil
 }
 

@@ -198,63 +198,6 @@ func (r *Revised) AddColumn(cost float64, idx []int32, val []float64) (int, erro
 	return pos, nil
 }
 
-// AddColumns appends a batch of structural columns in one pass: column k of
-// the batch has cost costs[k] and sparse entries idx[starts[k]:starts[k+1]] /
-// val[starts[k]:starts[k+1]] (strictly ascending row indices, like
-// AddColumn). The whole batch is validated up front and the arenas grow at
-// most once, so bulk-loading N pooled columns costs one capacity check
-// instead of N — the seeding path of a warm-started column-generation
-// master. It returns the position of the batch's first column in
-// Solution.X; the batch occupies consecutive positions. On error nothing is
-// committed.
-func (r *Revised) AddColumns(costs []float64, starts []int32, idx []int32, val []float64) (int, error) {
-	n := len(costs)
-	if len(starts) != n+1 {
-		return 0, fmt.Errorf("lp: %d column starts for %d costs", len(starts), n)
-	}
-	if starts[0] != 0 || int(starts[n]) != len(idx) {
-		return 0, fmt.Errorf("lp: column starts [%d,%d] do not span %d entries", starts[0], starts[n], len(idx))
-	}
-	if len(idx) != len(val) {
-		return 0, fmt.Errorf("lp: batch has %d indices for %d values", len(idx), len(val))
-	}
-	for c := 0; c < n; c++ {
-		lo, hi := starts[c], starts[c+1]
-		if lo > hi {
-			return 0, fmt.Errorf("lp: column %d starts descend (%d > %d)", c, lo, hi)
-		}
-		for k := lo; k < hi; k++ {
-			ri := idx[k]
-			if ri < 0 || int(ri) >= r.m {
-				return 0, fmt.Errorf("lp: column %d row index %d out of range [0,%d)", c, ri, r.m)
-			}
-			if k > lo && ri <= idx[k-1] {
-				return 0, fmt.Errorf("lp: column %d row indices not strictly ascending at position %d", c, k-lo)
-			}
-		}
-	}
-	r.colIdx = growCap(r.colIdx, len(r.colIdx)+len(idx))
-	r.colVal = growCap(r.colVal, len(r.colVal)+len(idx))
-	r.colStart = growCap(r.colStart, len(r.colStart)+n)
-	r.costs = growCap(r.costs, len(r.costs)+n)
-	r.kinds = growCap(r.kinds, len(r.kinds)+n)
-	r.poss = growCap(r.poss, len(r.poss)+n)
-	if r.inited {
-		r.inBasis = growCap(r.inBasis, len(r.inBasis)+n)
-	}
-	first := r.nStruct
-	for c := 0; c < n; c++ {
-		for k := starts[c]; k < starts[c+1]; k++ {
-			ri := idx[k]
-			r.colIdx = append(r.colIdx, ri)
-			r.colVal = append(r.colVal, val[k]*r.sign[ri])
-		}
-		r.push(costs[c], kindStructural, int32(r.nStruct))
-		r.nStruct++
-	}
-	return first, nil
-}
-
 // push finalizes the column whose entries were just appended to the arenas.
 func (r *Revised) push(cost float64, kind int8, pos int32) {
 	r.colStart = append(r.colStart, int32(len(r.colIdx)))

@@ -415,8 +415,8 @@ func TestDenseSolversAcceptSparseRows(t *testing.T) {
 	}
 }
 
-// batchFromProblem assembles a Problem's columns into the CSR-style batch
-// form AddColumns takes.
+// batchFromProblem assembles a Problem's columns in CSR form: column j
+// has cost costs[j] and entries idx/val[starts[j]:starts[j+1]].
 func batchFromProblem(p *Problem) (costs []float64, starts []int32, idx []int32, val []float64) {
 	colIdx := make([][]int32, p.NumVars)
 	colVal := make([][]float64, p.NumVars)
@@ -453,116 +453,37 @@ func newRevisedFromProblem(p *Problem) *Revised {
 	return r
 }
 
-// TestAddColumnsMatchesAddColumn: loading a program through one AddColumns
-// batch is bit-identical to the AddColumn loop — same statuses, objectives,
-// solutions and duals, on random programs and also when the batch lands on
-// an already-initialized warm solver.
-func TestAddColumnsMatchesAddColumn(t *testing.T) {
-	rng := rand.New(rand.NewSource(313))
-	for trial := 0; trial < 200; trial++ {
-		p := randomProblem(rng, trial%2 == 0)
-		costs, starts, idx, val := batchFromProblem(p)
-
-		single := newRevisedFromProblem(p)
-		for j := 0; j < p.NumVars; j++ {
-			if _, err := single.AddColumn(costs[j], idx[starts[j]:starts[j+1]], val[starts[j]:starts[j+1]]); err != nil {
-				t.Fatalf("trial %d: AddColumn: %v", trial, err)
-			}
-		}
-		batch := newRevisedFromProblem(p)
-		first, err := batch.AddColumns(costs, starts, idx, val)
-		if err != nil {
-			t.Fatalf("trial %d: AddColumns: %v", trial, err)
-		}
-		if first != 0 || batch.NumColumns() != p.NumVars {
-			t.Fatalf("trial %d: batch placed at %d with %d columns", trial, first, batch.NumColumns())
-		}
-		s1, err := single.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: single solve: %v", trial, err)
-		}
-		s2, err := batch.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: batch solve: %v", trial, err)
-		}
-		if s1.Status != s2.Status || s1.Objective != s2.Objective {
-			t.Fatalf("trial %d: single %v/%g vs batch %v/%g",
-				trial, s1.Status, s1.Objective, s2.Status, s2.Objective)
-		}
-		if s1.Status != Optimal {
-			continue
-		}
-		for j := range s1.X {
-			if s1.X[j] != s2.X[j] {
-				t.Fatalf("trial %d: X[%d] single %g vs batch %g", trial, j, s1.X[j], s2.X[j])
-			}
-		}
-		for i := range s1.Duals {
-			if s1.Duals[i] != s2.Duals[i] {
-				t.Fatalf("trial %d: dual %d single %g vs batch %g", trial, i, s1.Duals[i], s2.Duals[i])
-			}
-		}
-		// A second batch after the warm solve must keep the basis valid, like
-		// AddColumn between Solve calls does.
-		if _, err := batch.AddColumns(costs[:1], starts[:2], idx[:starts[1]], val[:starts[1]]); err != nil {
-			t.Fatalf("trial %d: warm AddColumns: %v", trial, err)
-		}
-		if _, err := single.AddColumn(costs[0], idx[:starts[1]], val[:starts[1]]); err != nil {
-			t.Fatalf("trial %d: warm AddColumn: %v", trial, err)
-		}
-		s1, err = single.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: warm single solve: %v", trial, err)
-		}
-		s2, err = batch.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: warm batch solve: %v", trial, err)
-		}
-		if s1.Status != s2.Status || s1.Objective != s2.Objective {
-			t.Fatalf("trial %d: warm single %v/%g vs batch %v/%g",
-				trial, s1.Status, s1.Objective, s2.Status, s2.Objective)
-		}
-	}
-}
-
-// TestAddColumnsValidation: malformed batches are rejected atomically — no
-// partial commit ever becomes visible.
-func TestAddColumnsValidation(t *testing.T) {
-	mk := func() *Revised {
-		r, err := NewRevised([]Relation{LE, GE}, []float64{1, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
+// TestAddColumnValidation: malformed columns are rejected before anything
+// is committed, and the solver still works afterwards.
+func TestAddColumnValidation(t *testing.T) {
 	cases := []struct {
-		name   string
-		costs  []float64
-		starts []int32
-		idx    []int32
-		val    []float64
+		name string
+		idx  []int32
+		val  []float64
 	}{
-		{"starts length", []float64{1}, []int32{0}, nil, nil},
-		{"starts span", []float64{1}, []int32{0, 2}, []int32{0}, []float64{1}},
-		{"idx/val length", []float64{1}, []int32{0, 1}, []int32{0}, []float64{1, 2}},
-		{"row out of range", []float64{1, 1}, []int32{0, 1, 2}, []int32{0, 2}, []float64{1, 1}},
-		{"not ascending", []float64{1, 1}, []int32{0, 2, 4}, []int32{0, 1, 1, 1}, []float64{1, 1, 1, 1}},
-		{"descending starts", []float64{1, 1}, []int32{0, 2, 1}, []int32{0, 1}, []float64{1, 1}},
+		{"idx/val length", []int32{0}, []float64{1, 2}},
+		{"row out of range", []int32{0, 2}, []float64{1, 1}},
+		{"negative row", []int32{-1, 0}, []float64{1, 1}},
+		{"repeated row", []int32{1, 1}, []float64{1, 1}},
+		{"descending rows", []int32{1, 0}, []float64{1, 1}},
 	}
 	for _, tc := range cases {
-		r := mk()
-		if _, err := r.AddColumn(0.5, []int32{0}, []float64{1}); err != nil {
+		r, err := NewRevised([]Relation{LE, GE}, []float64{2, 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.AddColumns(tc.costs, tc.starts, tc.idx, tc.val); err == nil {
-			t.Fatalf("%s: batch accepted", tc.name)
+		if _, err := r.AddColumn(0.5, []int32{0, 1}, []float64{1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.AddColumn(1, tc.idx, tc.val); err == nil {
+			t.Fatalf("%s: column accepted", tc.name)
 		}
 		if r.NumColumns() != 1 {
 			t.Fatalf("%s: partial commit left %d columns", tc.name, r.NumColumns())
 		}
-		// The solver still works after the rejected batch.
-		if _, err := r.Solve(); err != nil {
-			t.Fatalf("%s: solve after rejected batch: %v", tc.name, err)
+		sol, err := r.Solve()
+		if err != nil || sol.Status != Optimal || len(sol.X) != 1 {
+			t.Fatalf("%s: solve after rejected column: %+v, %v", tc.name, sol, err)
 		}
 	}
 }

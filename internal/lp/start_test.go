@@ -16,16 +16,26 @@ type startRun struct {
 	midBase []int // basis after the first phase-2 pivot (primal feasible)
 }
 
+// loadRevised builds a Revised over p's rows and adds p's columns in order
+// through AddColumn.
+func loadRevised(t testing.TB, p *Problem) *Revised {
+	t.Helper()
+	r := newRevisedFromProblem(p)
+	costs, starts, idx, val := batchFromProblem(p)
+	for j, c := range costs {
+		if _, err := r.AddColumn(c, idx[starts[j]:starts[j+1]], val[starts[j]:starts[j+1]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
 // solveStart loads p into a fresh Revised, installs start when non-nil,
 // and solves, checking after every pivot that the incrementally updated
 // multipliers match a fresh c_B·B⁻¹ to 1e-9 relative.
 func solveStart(t testing.TB, p *Problem, start []int) startRun {
 	t.Helper()
-	r := newRevisedFromProblem(p)
-	costs, starts, idx, val := batchFromProblem(p)
-	if _, err := r.AddColumns(costs, starts, idx, val); err != nil {
-		t.Fatal(err)
-	}
+	r := loadRevised(t, p)
 	if start != nil {
 		if err := r.SetStartBasis(start); err != nil {
 			t.Fatal(err)
@@ -108,11 +118,7 @@ func sameSolution(a, b *Solution) bool {
 // skips phase 1) rather than dropped for the artificial start.
 func startInstalled(t testing.TB, p *Problem, start []int) bool {
 	t.Helper()
-	r := newRevisedFromProblem(p)
-	costs, starts, idx, val := batchFromProblem(p)
-	if _, err := r.AddColumns(costs, starts, idx, val); err != nil {
-		t.Fatal(err)
-	}
+	r := loadRevised(t, p)
 	if err := r.SetStartBasis(start); err != nil {
 		t.Fatal(err)
 	}
@@ -397,11 +403,7 @@ func FuzzRevisedStartBasis(f *testing.F) {
 			}
 		}
 		if slices.Contains(start, p.NumVars) {
-			r := newRevisedFromProblem(p)
-			costs, starts, idx, val := batchFromProblem(p)
-			if _, err := r.AddColumns(costs, starts, idx, val); err != nil {
-				t.Fatal(err)
-			}
+			r := loadRevised(t, p)
 			if err := r.SetStartBasis(start); err == nil {
 				t.Fatalf("out-of-range start %v accepted", start)
 			}
